@@ -46,8 +46,6 @@
 //!     during the run, then print the span tree (inclusive/exclusive
 //!     wall time), a flamegraph-compatible collapsed-stack export, and
 //!     per-label latency quantiles after the event summary.
-//! * `--faults`, `--checkpoints`, `--admission`, `--fleet`, `--profile`
-//!   — aliases for the matching `--section NAME`.
 //! * `--tag TAG` — print only events whose tag matches (repeatable;
 //!   base tags: arrive/ready/run/block/fail/done/dispatch/config/
 //!   preempt/gc/fault/overlay/iomux/custom, plus the per-section tags
@@ -113,8 +111,7 @@ impl Args {
 fn usage() -> String {
     let mut out = String::from(
         "usage: trace_dump [--section NAME]... [--tag TAG]... [--limit N] [--seed S] \
-         [--summary]\n\nsections (repeatable; --faults/--checkpoints/--admission/--deadlines/\
-         --delta/--fleet/--profile are aliases):\n",
+         [--summary]\n\nsections (repeatable):\n",
     );
     for (name, blurb) in SECTIONS {
         out.push_str(&format!("  {name:<12} {blurb}\n"));
@@ -169,14 +166,6 @@ fn parse_args() -> Args {
                 }
                 push_section(&mut out.sections, &name);
             }
-            // Pre-`--section` spellings, kept as aliases.
-            "--faults" => push_section(&mut out.sections, "faults"),
-            "--checkpoints" => push_section(&mut out.sections, "checkpoints"),
-            "--admission" => push_section(&mut out.sections, "admission"),
-            "--deadlines" => push_section(&mut out.sections, "deadlines"),
-            "--delta" => push_section(&mut out.sections, "delta"),
-            "--fleet" => push_section(&mut out.sections, "fleet"),
-            "--profile" => push_section(&mut out.sections, "profile"),
             "--help" | "-h" => {
                 println!("{}", usage());
                 std::process::exit(0);

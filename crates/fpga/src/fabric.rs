@@ -66,8 +66,6 @@ pub struct FabricView {
     region: Rect,
     /// Configured cell coordinates in combinational evaluation order.
     order: Vec<(u32, u32)>,
-    /// Input pins the view reads, in ascending order.
-    in_pins: Vec<u32>,
     /// Output pins the view drives, with their source CLB.
     out_pins: Vec<(u32, (u32, u32))>,
     /// Scratch: latest combinational output per cell (keyed by coords).
@@ -146,11 +144,9 @@ impl FabricView {
         }
 
         // Pins.
-        let mut in_pins = Vec::new();
         let mut out_pins = Vec::new();
         for p in 0..device.spec().io_pins {
             match device.iob(p) {
-                IobConfig::Input => in_pins.push(p),
                 IobConfig::Output(c, r) => {
                     if region.contains(c, r) {
                         if device.cell(c, r).is_none() {
@@ -159,14 +155,13 @@ impl FabricView {
                         out_pins.push((p, (c, r)));
                     }
                 }
-                IobConfig::Unused => {}
+                IobConfig::Input | IobConfig::Unused => {}
             }
         }
 
         Ok(FabricView {
             region,
             order,
-            in_pins,
             out_pins,
             comb_out: HashMap::new(),
         })
@@ -175,11 +170,6 @@ impl FabricView {
     /// The region this view executes.
     pub fn region(&self) -> Rect {
         self.region
-    }
-
-    /// Input pins read by the view (ascending).
-    pub fn input_pins(&self) -> &[u32] {
-        &self.in_pins
     }
 
     /// Output pins driven by the view (ascending), with source CLBs.

@@ -111,12 +111,6 @@ impl SimRng {
         lo + self.below(hi - lo + 1)
     }
 
-    /// Uniform `usize` in `[lo, hi]`.
-    #[inline]
-    pub fn range_usize(&mut self, lo: usize, hi: usize) -> usize {
-        self.range_u64(lo as u64, hi as u64) as usize
-    }
-
     /// Bernoulli trial with success probability `p` (clamped to `[0,1]`).
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {

@@ -327,11 +327,6 @@ impl LogHistogram {
         self.max
     }
 
-    /// Exact sum of all samples.
-    pub fn sum_ns(&self) -> u128 {
-        self.sum
-    }
-
     /// Mean sample (integer division; 0 if empty).
     pub fn mean_ns(&self) -> u64 {
         if self.total == 0 {

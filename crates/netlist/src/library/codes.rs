@@ -145,22 +145,6 @@ pub fn hamming74_decode(name: &str) -> Netlist {
     b.finish()
 }
 
-/// Golden model for [`hamming74_decode`]: `(data, corrected)`.
-pub fn golden_hamming74_decode(c: u64) -> (u64, bool) {
-    let bit = |i: usize| (c >> i) & 1;
-    let s1 = bit(0) ^ bit(2) ^ bit(4) ^ bit(6);
-    let s2 = bit(1) ^ bit(2) ^ bit(5) ^ bit(6);
-    let s4 = bit(3) ^ bit(4) ^ bit(5) ^ bit(6);
-    let syndrome = s1 | (s2 << 1) | (s4 << 2);
-    let mut cw = c;
-    if syndrome != 0 {
-        cw ^= 1 << (syndrome - 1);
-    }
-    let bitc = |i: usize| (cw >> i) & 1;
-    let d = bitc(2) | (bitc(4) << 1) | (bitc(5) << 2) | (bitc(6) << 3);
-    (d, syndrome != 0)
-}
-
 /// Binary→Gray encoder. Inputs: `b[width]`; outputs: `g[width]`.
 pub fn gray_encode(name: &str, width: usize) -> Netlist {
     assert!(width >= 1);
@@ -196,16 +180,6 @@ pub fn gray_decode(name: &str, width: usize) -> Netlist {
 /// Golden model for [`gray_encode`].
 pub fn golden_gray_encode(v: u64) -> u64 {
     v ^ (v >> 1)
-}
-
-/// Golden model for [`gray_decode`].
-pub fn golden_gray_decode(mut g: u64) -> u64 {
-    let mut v = g;
-    while g != 0 {
-        g >>= 1;
-        v ^= g;
-    }
-    v
 }
 
 #[cfg(test)]

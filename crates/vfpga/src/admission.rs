@@ -267,7 +267,7 @@ pub struct AdmissionStats {
 }
 
 /// Runtime admission state carried by the system (crate-internal).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct AdmissionRt {
     /// The policy in force.
     pub policy: AdmissionPolicy,

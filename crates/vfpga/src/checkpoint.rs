@@ -6,11 +6,10 @@
 //! downloads left there (possibly a torn prefix of an interrupted
 //! stream). This module makes the system survive that:
 //!
-//! * a **checkpoint** is taken every [`CheckpointConfig::interval`]: the
-//!   full mutable [`crate::System`] state serialized through the
-//!   [`fsim::json`] writer (and round-tripped through the parser at
-//!   capture time, proving it restores), charged the realistic readback
-//!   cost of the resident frames as background port traffic;
+//! * a **checkpoint** is taken every [`CheckpointConfig::interval`]: a
+//!   typed in-memory copy of the full mutable [`crate::System`] state (a
+//!   [`crate::SystemImage`]), charged the realistic readback cost of the
+//!   resident frames as background port traffic;
 //! * every configuration download is logged as a [`WalRecord`] — the
 //!   OS-level view of the `fpga::journal` write-ahead log. Records after
 //!   the last checkpoint are the ones a restore must reconcile: the
@@ -34,8 +33,8 @@ use crate::manager::FpgaManager;
 use crate::metrics::Report;
 use crate::sched::Scheduler;
 use crate::system::System;
-use fsim::json::Json;
 use fsim::{CrashInjector, CrashPlan, SimDuration, SimTime, Trace};
+use std::sync::Arc;
 
 /// Checkpoint cadence and journal switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,9 +79,12 @@ impl CheckpointConfig {
     }
 }
 
-/// One captured checkpoint: the serialized system state.
+/// One captured checkpoint: the system state `I` (a
+/// [`crate::SystemImage`]) plus where it sits in the journal. The state is
+/// shared, so handing an image on — to a crash, a failover or a migration
+/// — never deep-copies it.
 #[derive(Debug, Clone)]
-pub struct CheckpointImage {
+pub struct CheckpointImage<I> {
     /// Monotone checkpoint number.
     pub seq: u64,
     /// Capture time.
@@ -91,8 +93,8 @@ pub struct CheckpointImage {
     /// `>= wal_len` happened after this checkpoint and must be
     /// reconciled on restore.
     pub wal_len: usize,
-    /// The serialized state (already round-tripped through the parser).
-    pub state: Json,
+    /// The captured state.
+    pub state: Arc<I>,
 }
 
 /// The OS-level view of one journaled configuration download.
@@ -154,12 +156,12 @@ pub struct CrashStats {
 /// Everything that survives a host crash: the durable state the next
 /// incarnation of the system restores from.
 #[derive(Debug, Clone)]
-pub struct CrashState {
+pub struct CrashState<I> {
     /// When the crash struck.
     pub at: SimTime,
     /// Last checkpoint, if any was captured before the crash. `None`
     /// means a cold restart from time zero.
-    pub image: Option<CheckpointImage>,
+    pub image: Option<CheckpointImage<I>>,
     /// The full write-ahead log (the journal lives on durable storage).
     pub wal: Vec<WalRecord>,
     /// Accounting carried across the restart (work already performed is
@@ -167,14 +169,15 @@ pub struct CrashState {
     pub stats: CrashStats,
 }
 
-/// How one [`System::run_until`] segment ended.
+/// How one [`System::run_until`] segment ended. `I` is the system's
+/// checkpoint state type.
 #[derive(Debug)]
-pub enum RunOutcome {
+pub enum RunOutcome<I> {
     /// The run finished; the report covers all work since the last
     /// restore, with crash accounting accumulated across segments.
     Completed(Box<Report>, Trace),
     /// The host crashed mid-run; restore from the carried state.
-    Crashed(Box<CrashState>),
+    Crashed(Box<CrashState<I>>),
 }
 
 /// One field-level disagreement between a baseline and a restored run,
@@ -286,7 +289,7 @@ where
     S: Scheduler,
 {
     let mut inj = CrashInjector::new(plan);
-    let mut carry: Option<CrashState> = None;
+    let mut carry = None;
     loop {
         let mut sys = build().with_checkpoints(cfg)?;
         if let Some(state) = &carry {
@@ -313,7 +316,7 @@ where
     S: Scheduler,
 {
     let mut inj = CrashInjector::new(plan);
-    let mut carry: Option<CrashState> = None;
+    let mut carry = None;
     loop {
         let mut sys = build().with_trace().with_checkpoints(cfg)?;
         if let Some(state) = &carry {

@@ -37,14 +37,15 @@ pub enum VfpgaError {
     NoOverlaySlot,
     /// `run_traced` called without enabling the trace.
     TraceDisabled,
-    /// Checkpointing requested on a manager or scheduler whose state
-    /// cannot be snapshotted (its `snapshot()` returns `None`).
+    /// Checkpointing requested on a manager whose state cannot be
+    /// snapshotted (its `snapshot()` returns `None`).
     CheckpointUnsupported {
         /// Name of the component that refused.
         component: &'static str,
     },
-    /// A checkpoint image failed to round-trip or restore: the saved
-    /// state no longer matches the system it is being restored into.
+    /// A checkpoint image cannot be restored: it was captured from a
+    /// differently built system (task count, fault injector or admission
+    /// presence), or the system has no checkpointing enabled.
     CheckpointCorrupt {
         /// What went wrong.
         reason: String,

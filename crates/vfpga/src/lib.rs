@@ -87,7 +87,7 @@ pub use migrate::{CounterBaseline, MigrateInReceipt, MigrationEngine, MigrationM
 pub use recovery::{FaultStats, RecoveryPolicy, UpsetRecovery};
 pub use sched::{EdfScheduler, FifoScheduler, PriorityScheduler, RoundRobinScheduler, Scheduler};
 pub use syscall::{FpgaHandle, OpenError, OsInterface};
-pub use system::{CompletionDetect, FailoverReceipt, System, SystemConfig};
+pub use system::{CompletionDetect, FailoverReceipt, System, SystemConfig, SystemImage};
 pub use task::{Op, TaskId, TaskSpec};
 
 #[cfg(test)]

@@ -194,40 +194,23 @@ impl DeltaTable {
         self.ghosts.len()
     }
 
-    /// Serialize for a checkpoint: the counters plus how many ghosts were
-    /// live. Ghosts themselves are *not* restored — a restore implies the
-    /// fabric was re-downloaded, so every base is stale by definition.
-    pub fn to_json(&self) -> fsim::json::Json {
-        fsim::json::Obj::new()
-            .set("delta_downloads", self.stats.delta_downloads)
-            .set("full_downloads", self.stats.full_downloads)
-            .set("frames_written", self.stats.frames_written)
-            .set("frames_saved", self.stats.frames_saved)
-            .set("invalidations", self.stats.invalidations)
-            .set("ghosts", self.ghost_count() as u64)
-            .build()
+    /// The counters a checkpoint keeps. Ghosts are *not* carried across a
+    /// restore — a restore implies the fabric was re-downloaded, so every
+    /// live base is stale by definition and is counted as invalidated here.
+    pub fn snapshot(&self) -> DeltaStats {
+        DeltaStats {
+            invalidations: self.stats.invalidations + self.ghost_count() as u64,
+            ..self.stats
+        }
     }
 
-    /// Rebuild from [`DeltaTable::to_json`]: counters restored, ghosts
-    /// dropped and counted as crash invalidations.
-    pub fn from_json(snap: &fsim::json::Json) -> Result<Self, String> {
-        use fsim::json::Json;
-        let u = |k: &str| -> Result<u64, String> {
-            match snap.get(k) {
-                Some(Json::UInt(v)) => Ok(*v),
-                other => Err(format!("delta snapshot field '{k}': {other:?}")),
-            }
-        };
-        let mut t = DeltaTable::new();
-        t.stats = DeltaStats {
-            delta_downloads: u("delta_downloads")?,
-            full_downloads: u("full_downloads")?,
-            frames_written: u("frames_written")?,
-            frames_saved: u("frames_saved")?,
-            invalidations: u("invalidations")?,
-        };
-        t.stats.invalidations += u("ghosts")?;
-        Ok(t)
+    /// A table rebuilt from [`DeltaTable::snapshot`]: the counters, and no
+    /// ghosts or dirty marks.
+    pub fn restored(stats: DeltaStats) -> Self {
+        DeltaTable {
+            stats,
+            ..Self::default()
+        }
     }
 }
 
@@ -277,19 +260,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trip_drops_ghosts_as_invalidations() {
+    fn snapshot_restore_drops_ghosts_as_invalidations() {
         let mut t = DeltaTable::new();
         let mut obs = buf();
         t.stats.delta_downloads = 3;
         t.stats.frames_saved = 17;
         t.record_ghost(0, 4, CircuitId(1), &mut obs);
         t.record_ghost(8, 2, CircuitId(2), &mut obs);
-        let j = t.to_json();
-        let r = DeltaTable::from_json(&j).unwrap();
+        t.mark_dirty(CircuitId(3));
+        let r = DeltaTable::restored(t.snapshot());
         assert_eq!(r.ghost_count(), 0);
+        assert!(!r.is_dirty(CircuitId(3)));
         assert_eq!(r.stats.delta_downloads, 3);
         assert_eq!(r.stats.frames_saved, 17);
         assert_eq!(r.stats.invalidations, t.stats.invalidations + 2);
-        assert!(DeltaTable::from_json(&fsim::json::Json::Null).is_err());
     }
 }

@@ -12,9 +12,8 @@
 //! pay readback on the way out and state-write on the way back in.
 
 use super::{
-    charge_full_download, charge_partial_download, charge_state_move, stats_from_json,
-    stats_to_json, Activation, DeviceUsage, EventBuf, FpgaManager, ManagerStats, PreemptCost,
-    ResidentRegion,
+    charge_full_download, charge_partial_download, charge_state_move, Activation, DeviceUsage,
+    EventBuf, FpgaManager, ManagerStats, PreemptCost, ResidentRegion,
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::manager::PreemptAction;
@@ -36,6 +35,14 @@ pub struct DynLoadManager {
     saved_state: HashMap<(TaskId, CircuitId), ()>,
     stats: ManagerStats,
     obs: EventBuf,
+}
+
+/// The mutable [`DynLoadManager`] state a checkpoint holds.
+#[derive(Debug, Clone)]
+pub struct DynLoadSnapshot {
+    loaded: Option<CircuitId>,
+    saved_state: HashMap<(TaskId, CircuitId), ()>,
+    stats: ManagerStats,
 }
 
 impl DynLoadManager {
@@ -70,6 +77,8 @@ impl DynLoadManager {
 }
 
 impl FpgaManager for DynLoadManager {
+    type Snapshot = DynLoadSnapshot;
+
     fn name(&self) -> &'static str {
         "dynload"
     }
@@ -187,55 +196,18 @@ impl FpgaManager for DynLoadManager {
         }
     }
 
-    fn snapshot(&self) -> Option<fsim::json::Json> {
-        use fsim::json::{Json, Obj};
-        // Sort for a deterministic image (HashMap order is not).
-        let mut keys: Vec<_> = self.saved_state.keys().copied().collect();
-        keys.sort();
-        let saves: Vec<Json> = keys
-            .into_iter()
-            .map(|(t, c)| Json::Arr(vec![u64::from(t.0).into(), u64::from(c.0).into()]))
-            .collect();
-        Some(
-            Obj::new()
-                .set(
-                    "loaded",
-                    self.loaded
-                        .map(|c| Json::from(u64::from(c.0)))
-                        .unwrap_or(Json::Null),
-                )
-                .set("saved", saves)
-                .set("stats", stats_to_json(&self.stats))
-                .build(),
-        )
+    fn snapshot(&self) -> Option<DynLoadSnapshot> {
+        Some(DynLoadSnapshot {
+            loaded: self.loaded,
+            saved_state: self.saved_state.clone(),
+            stats: self.stats,
+        })
     }
 
-    fn restore(&mut self, snap: &fsim::json::Json) -> Result<(), String> {
-        use fsim::json::Json;
-        self.loaded = match snap.get("loaded") {
-            Some(Json::Null) => None,
-            Some(Json::UInt(c)) => Some(CircuitId(*c as u32)),
-            other => return Err(format!("dynload snapshot 'loaded': {other:?}")),
-        };
-        self.saved_state.clear();
-        for v in snap
-            .get("saved")
-            .and_then(Json::as_arr)
-            .ok_or("dynload snapshot missing 'saved'")?
-        {
-            match v.as_arr() {
-                Some([Json::UInt(t), Json::UInt(c)]) => {
-                    self.saved_state
-                        .insert((TaskId(*t as u32), CircuitId(*c as u32)), ());
-                }
-                _ => return Err(format!("bad dynload saved-state entry: {v:?}")),
-            }
-        }
-        self.stats = stats_from_json(
-            snap.get("stats")
-                .ok_or("dynload snapshot missing 'stats'")?,
-        )?;
-        Ok(())
+    fn restore(&mut self, snap: &DynLoadSnapshot) {
+        self.loaded = snap.loaded;
+        self.saved_state = snap.saved_state.clone();
+        self.stats = snap.stats;
     }
 }
 

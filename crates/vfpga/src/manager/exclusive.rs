@@ -66,6 +66,9 @@ impl ExclusiveManager {
 }
 
 impl FpgaManager for ExclusiveManager {
+    /// Not checkpointable: [`FpgaManager::snapshot`] stays `None`.
+    type Snapshot = ();
+
     fn name(&self) -> &'static str {
         "exclusive"
     }

@@ -134,6 +134,9 @@ impl MergedManager {
 }
 
 impl FpgaManager for MergedManager {
+    /// Not checkpointable: [`FpgaManager::snapshot`] stays `None`.
+    type Snapshot = ();
+
     fn name(&self) -> &'static str {
         "merged"
     }

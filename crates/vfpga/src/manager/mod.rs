@@ -17,7 +17,6 @@ pub use delta::DeltaStats;
 
 use crate::circuit::CircuitId;
 use crate::task::TaskId;
-use fsim::json::Json;
 use fsim::{SimDuration, TraceEvent};
 
 /// Result of asking the manager to make a circuit runnable for a task.
@@ -187,6 +186,10 @@ impl EventBuf {
 
 /// An FPGA management policy.
 pub trait FpgaManager {
+    /// The manager state a checkpoint holds. Policies that cannot be
+    /// checkpointed use `()` and keep [`FpgaManager::snapshot`]'s default.
+    type Snapshot: Clone + std::fmt::Debug;
+
     /// Policy name for reports.
     fn name(&self) -> &'static str;
 
@@ -287,71 +290,18 @@ pub trait FpgaManager {
         false
     }
 
-    /// Serialize the mutable manager state (residency tables, waiters,
+    /// Capture the mutable manager state (residency tables, waiters,
     /// counters) for a system checkpoint. `None` means the policy cannot
     /// be checkpointed; [`crate::System`] then refuses to enable
     /// checkpointing with a typed error instead of silently losing state.
-    fn snapshot(&self) -> Option<Json> {
+    fn snapshot(&self) -> Option<Self::Snapshot> {
         None
     }
 
     /// Restore state captured by [`FpgaManager::snapshot`] into a freshly
-    /// built manager of the same policy and device.
-    fn restore(&mut self, _snap: &Json) -> Result<(), String> {
-        Err("manager does not support snapshots".into())
-    }
-}
-
-/// Serialize [`ManagerStats`] for a checkpoint image (durations in ns).
-pub(crate) fn stats_to_json(s: &ManagerStats) -> Json {
-    use fsim::json::Obj;
-    Obj::new()
-        .set("downloads", s.downloads)
-        .set("frames_written", s.frames_written)
-        .set("config_ns", s.config_time.as_nanos())
-        .set("state_saves", s.state_saves)
-        .set("state_restores", s.state_restores)
-        .set("state_ns", s.state_time.as_nanos())
-        .set("hits", s.hits)
-        .set("misses", s.misses)
-        .set("blocks", s.blocks)
-        .set("gc_runs", s.gc_runs)
-        .set("relocations", s.relocations)
-        .set("failed_relocations", s.failed_relocations)
-        .set("evictions", s.evictions)
-        .set("splits", s.splits)
-        .set("merges", s.merges)
-        .set("gc_ns", s.gc_time.as_nanos())
-        .build()
-}
-
-/// Read back what [`stats_to_json`] wrote.
-pub(crate) fn stats_from_json(snap: &Json) -> Result<ManagerStats, String> {
-    let u = |k: &str| -> Result<u64, String> {
-        match snap.get(k) {
-            Some(Json::UInt(v)) => Ok(*v),
-            other => Err(format!("manager stats field '{k}': {other:?}")),
-        }
-    };
-    let d = |k: &str| u(k).map(SimDuration::from_nanos);
-    Ok(ManagerStats {
-        downloads: u("downloads")?,
-        frames_written: u("frames_written")?,
-        config_time: d("config_ns")?,
-        state_saves: u("state_saves")?,
-        state_restores: u("state_restores")?,
-        state_time: d("state_ns")?,
-        hits: u("hits")?,
-        misses: u("misses")?,
-        blocks: u("blocks")?,
-        gc_runs: u("gc_runs")?,
-        relocations: u("relocations")?,
-        failed_relocations: u("failed_relocations")?,
-        evictions: u("evictions")?,
-        splits: u("splits")?,
-        merges: u("merges")?,
-        gc_time: d("gc_ns")?,
-    })
+    /// built manager of the same policy and device. Observability state
+    /// (the typed-event buffer) is not part of a snapshot and is kept.
+    fn restore(&mut self, _snap: &Self::Snapshot) {}
 }
 
 /// Pure cost of a partial download of `frames` full-column frames: header

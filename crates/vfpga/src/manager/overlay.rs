@@ -200,6 +200,9 @@ impl OverlayManager {
 }
 
 impl FpgaManager for OverlayManager {
+    /// Not checkpointable: [`FpgaManager::snapshot`] stays `None`.
+    type Snapshot = ();
+
     fn name(&self) -> &'static str {
         "overlay"
     }

@@ -9,12 +9,12 @@
 //! others).
 
 use crate::task::{TaskId, TaskSpec};
-use fsim::json::{Json, Obj};
 use fsim::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-/// A CPU scheduling policy.
-pub trait Scheduler {
+/// A CPU scheduling policy. Policies are plain data: a system checkpoint
+/// holds a clone of the scheduler, ready queue included.
+pub trait Scheduler: Clone {
     /// A task became ready.
     fn on_ready(&mut self, tid: TaskId, priority: u8, now: SimTime);
     /// Pick the next task to run (removing it from the ready set).
@@ -29,39 +29,10 @@ pub trait Scheduler {
     fn len(&self) -> usize;
     /// Policy name for reports.
     fn name(&self) -> &'static str;
-
-    /// Serialize the mutable scheduler state (ready queue contents) for a
-    /// system checkpoint. `None` means the policy cannot be checkpointed;
-    /// [`crate::System`] then refuses to enable checkpointing with a typed
-    /// error instead of silently losing state.
-    fn snapshot(&self) -> Option<Json> {
-        None
-    }
-
-    /// Restore state captured by [`Scheduler::snapshot`] into a freshly
-    /// built scheduler of the same policy and configuration.
-    fn restore(&mut self, _snap: &Json) -> Result<(), String> {
-        Err("scheduler does not support snapshots".into())
-    }
-}
-
-/// Shared helper: read a JSON array of task ids written by a scheduler
-/// snapshot.
-fn tid_list(snap: &Json, key: &str) -> Result<Vec<TaskId>, String> {
-    let arr = snap
-        .get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("scheduler snapshot missing '{key}' array"))?;
-    arr.iter()
-        .map(|v| match v {
-            Json::UInt(t) => Ok(TaskId(*t as u32)),
-            other => Err(format!("bad task id in scheduler snapshot: {other:?}")),
-        })
-        .collect()
 }
 
 /// First-in first-out, run to completion (no slicing).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct FifoScheduler {
     queue: VecDeque<TaskId>,
 }
@@ -97,29 +68,10 @@ impl Scheduler for FifoScheduler {
     fn name(&self) -> &'static str {
         "fifo"
     }
-
-    fn snapshot(&self) -> Option<Json> {
-        Some(
-            Obj::new()
-                .set(
-                    "queue",
-                    self.queue
-                        .iter()
-                        .map(|t| u64::from(t.0))
-                        .collect::<Vec<_>>(),
-                )
-                .build(),
-        )
-    }
-
-    fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        self.queue = tid_list(snap, "queue")?.into();
-        Ok(())
-    }
 }
 
 /// Round-robin with a fixed time slice.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RoundRobinScheduler {
     queue: VecDeque<TaskId>,
     slice: SimDuration,
@@ -160,25 +112,6 @@ impl Scheduler for RoundRobinScheduler {
     fn name(&self) -> &'static str {
         "round-robin"
     }
-
-    fn snapshot(&self) -> Option<Json> {
-        Some(
-            Obj::new()
-                .set(
-                    "queue",
-                    self.queue
-                        .iter()
-                        .map(|t| u64::from(t.0))
-                        .collect::<Vec<_>>(),
-                )
-                .build(),
-        )
-    }
-
-    fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        self.queue = tid_list(snap, "queue")?.into();
-        Ok(())
-    }
 }
 
 /// Preemptive priority with round-robin among equal priorities.
@@ -189,7 +122,7 @@ impl Scheduler for RoundRobinScheduler {
 /// [`PriorityScheduler::with_aging`], a waiting task's effective priority
 /// grows by one level per `aging_step` spent in the ready queue, bounding
 /// its wait under sustained high-priority load.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PriorityScheduler {
     /// `(priority, insertion seq, tid, enqueue time)`; highest effective
     /// priority first, FIFO ties.
@@ -282,44 +215,6 @@ impl Scheduler for PriorityScheduler {
             Some(_) => "priority-aging",
             None => "priority",
         }
-    }
-
-    fn snapshot(&self) -> Option<Json> {
-        let ready: Vec<Json> = self
-            .ready
-            .iter()
-            .map(|&(p, s, t, at)| {
-                Json::Arr(vec![
-                    Json::from(u64::from(p)),
-                    Json::from(s),
-                    Json::from(u64::from(t.0)),
-                    Json::from(at.as_nanos()),
-                ])
-            })
-            .collect();
-        Some(Obj::new().set("ready", ready).set("seq", self.seq).build())
-    }
-
-    fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        let arr = snap
-            .get("ready")
-            .and_then(Json::as_arr)
-            .ok_or("priority snapshot missing 'ready'")?;
-        let mut ready = Vec::with_capacity(arr.len());
-        for v in arr {
-            match v.as_arr() {
-                Some([Json::UInt(p), Json::UInt(s), Json::UInt(t), Json::UInt(at)]) => {
-                    ready.push((*p as u8, *s, TaskId(*t as u32), SimTime(*at)));
-                }
-                _ => return Err(format!("bad priority snapshot entry: {v:?}")),
-            }
-        }
-        self.ready = ready;
-        self.seq = match snap.get("seq") {
-            Some(Json::UInt(s)) => *s,
-            _ => return Err("priority snapshot missing 'seq'".into()),
-        };
-        Ok(())
     }
 }
 
@@ -427,39 +322,6 @@ impl Scheduler for EdfScheduler {
     fn name(&self) -> &'static str {
         "edf"
     }
-
-    fn snapshot(&self) -> Option<Json> {
-        // The deadline table is configuration (rebuilt identically with
-        // the scheduler); only the ready queue and seq counter are state.
-        let ready: Vec<Json> = self
-            .ready
-            .iter()
-            .map(|&(s, t)| Json::Arr(vec![Json::from(s), Json::from(u64::from(t.0))]))
-            .collect();
-        Some(Obj::new().set("ready", ready).set("seq", self.seq).build())
-    }
-
-    fn restore(&mut self, snap: &Json) -> Result<(), String> {
-        let arr = snap
-            .get("ready")
-            .and_then(Json::as_arr)
-            .ok_or("edf snapshot missing 'ready'")?;
-        let mut ready = Vec::with_capacity(arr.len());
-        for v in arr {
-            match v.as_arr() {
-                Some([Json::UInt(s), Json::UInt(t)]) => {
-                    ready.push((*s, TaskId(*t as u32)));
-                }
-                _ => return Err(format!("bad edf snapshot entry: {v:?}")),
-            }
-        }
-        self.ready = ready;
-        self.seq = match snap.get("seq") {
-            Some(Json::UInt(s)) => *s,
-            _ => return Err("edf snapshot missing 'seq'".into()),
-        };
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -492,46 +354,6 @@ mod tests {
     #[should_panic(expected = "zero slice")]
     fn zero_slice_rejected() {
         RoundRobinScheduler::new(SimDuration::ZERO);
-    }
-
-    #[test]
-    fn scheduler_snapshots_round_trip() {
-        let mut f = FifoScheduler::new();
-        f.on_ready(t(3), 0, SimTime::ZERO);
-        f.on_ready(t(1), 0, SimTime::ZERO);
-        let snap = f.snapshot().unwrap();
-        let mut f2 = FifoScheduler::new();
-        f2.restore(&snap).unwrap();
-        assert_eq!(f2.pick(SimTime::ZERO), Some(t(3)));
-        assert_eq!(f2.pick(SimTime::ZERO), Some(t(1)));
-
-        let mut p = PriorityScheduler::new(None);
-        p.on_ready(t(1), 1, SimTime::ZERO);
-        p.on_ready(t(2), 5, SimTime::ZERO);
-        p.on_ready(t(3), 5, SimTime::ZERO);
-        let snap = p.snapshot().unwrap();
-        let mut p2 = PriorityScheduler::new(None);
-        p2.restore(&snap).unwrap();
-        // Restored FIFO-within-level ordering survives (the insertion
-        // sequence is part of the snapshot).
-        assert_eq!(p2.pick(SimTime::ZERO), Some(t(2)));
-        assert_eq!(p2.pick(SimTime::ZERO), Some(t(3)));
-        assert_eq!(p2.pick(SimTime::ZERO), Some(t(1)));
-
-        // A snapshot survives the writer/parser round trip too.
-        let rendered = snap.render();
-        let back = Json::parse(&rendered).unwrap();
-        let mut p3 = PriorityScheduler::new(None);
-        p3.restore(&back).unwrap();
-        assert_eq!(p3.len(), 3);
-    }
-
-    #[test]
-    fn restore_rejects_malformed_snapshots() {
-        let mut f = FifoScheduler::new();
-        assert!(f.restore(&Json::Null).is_err());
-        let mut p = PriorityScheduler::new(None);
-        assert!(p.restore(&Obj::new().set("ready", 3u64).build()).is_err());
     }
 
     #[test]
@@ -655,41 +477,19 @@ mod tests {
     }
 
     #[test]
-    fn edf_snapshot_round_trips_insertion_order() {
-        let mut s = EdfScheduler::new(None);
-        s.set_deadline(t(0), SimTime(7_000));
-        s.set_deadline(t(1), SimTime(7_000));
-        s.on_ready(t(1), 0, SimTime::ZERO);
-        s.on_ready(t(0), 0, SimTime::ZERO);
-        let snap = s.snapshot().unwrap();
-        let back = Json::parse(&snap.render()).unwrap();
-        let mut s2 = EdfScheduler::new(None);
-        s2.set_deadline(t(0), SimTime(7_000));
-        s2.set_deadline(t(1), SimTime(7_000));
-        s2.restore(&back).unwrap();
-        // The equal-deadline FIFO tie restores exactly: t1 enqueued first.
-        assert_eq!(s2.pick(SimTime::ZERO), Some(t(1)));
-        assert_eq!(s2.pick(SimTime::ZERO), Some(t(0)));
-
-        let mut bad = EdfScheduler::new(None);
-        assert!(bad.restore(&Json::Null).is_err());
-        assert!(bad.restore(&Obj::new().set("ready", 3u64).build()).is_err());
-    }
-
-    #[test]
-    fn aging_snapshot_round_trips_enqueue_times() {
+    fn aging_clone_keeps_enqueue_times() {
+        // A checkpoint holds a clone of the scheduler, so the clone must
+        // carry everything a pick depends on.
         let step = SimDuration::from_millis(1);
         let mut s = PriorityScheduler::with_aging(None, step);
         s.on_ready(t(0), 0, SimTime::ZERO);
         s.on_ready(t(1), 3, SimTime(5_000_000));
-        let snap = s.snapshot().unwrap();
-        let back = Json::parse(&snap.render()).unwrap();
-        let mut s2 = PriorityScheduler::with_aging(None, step);
-        s2.restore(&back).unwrap();
-        // Enqueue times survive the round trip, so aging continues from
-        // where the checkpoint left off: at 9 ms, t0 has aged 9 levels
-        // against t1's 3 + 4. Had restore reset the enqueue times to a
-        // common instant, t1's static priority would win instead.
+        let mut s2 = s.clone();
+        s.pick(SimTime::ZERO);
+        // Enqueue times survive, so aging continues from where the
+        // checkpoint left off: at 9 ms, t0 has aged 9 levels against t1's
+        // 3 + 4. Had the clone reset the enqueue times to a common
+        // instant, t1's static priority would win instead.
         assert_eq!(s2.pick(SimTime(9_000_000)), Some(t(0)));
         assert_eq!(s2.pick(SimTime(9_000_000)), Some(t(1)));
     }

@@ -21,12 +21,11 @@ use crate::metrics::{Report, TaskMetrics};
 use crate::recovery::{FaultStats, RecoveryPolicy, UpsetRecovery};
 use crate::sched::Scheduler;
 use crate::task::{Op, TaskId, TaskRun, TaskSpec, TaskState};
-use fsim::json::{Json, Obj};
 use fsim::{
     span, EventQueue, FaultInjector, FaultPlan, HistSet, Metrics, SimDuration, SimTime,
     TimelineSet, Trace, TraceEvent,
 };
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// How the OS learns an FPGA operation has finished (§3).
@@ -92,7 +91,7 @@ enum Ev {
     /// Capture a periodic system checkpoint.
     Checkpoint,
     /// The host dies here (scheduled by [`System::run_until`]; never
-    /// serialized into a checkpoint image).
+    /// carried into a checkpoint image).
     Crash,
     /// A watchdog deadline for `tid`'s dispatched FPGA segment. `seq` is
     /// the arming generation: a segment that ends on time bumps the
@@ -125,38 +124,6 @@ pub(crate) struct Latent {
     detected: bool,
 }
 
-/// Stable names for [`TaskState`] inside checkpoint images.
-fn state_str(s: TaskState) -> &'static str {
-    match s {
-        TaskState::Future => "future",
-        TaskState::Ready => "ready",
-        TaskState::Running => "running",
-        TaskState::Blocked => "blocked",
-        TaskState::Deferred => "deferred",
-        TaskState::Done => "done",
-        TaskState::Failed => "failed",
-        TaskState::Quarantined => "quarantined",
-        TaskState::Rejected => "rejected",
-        TaskState::Migrated => "migrated",
-    }
-}
-
-fn state_from_str(s: &str) -> Result<TaskState, String> {
-    Ok(match s {
-        "future" => TaskState::Future,
-        "ready" => TaskState::Ready,
-        "running" => TaskState::Running,
-        "blocked" => TaskState::Blocked,
-        "deferred" => TaskState::Deferred,
-        "done" => TaskState::Done,
-        "failed" => TaskState::Failed,
-        "quarantined" => TaskState::Quarantined,
-        "rejected" => TaskState::Rejected,
-        "migrated" => TaskState::Migrated,
-        other => return Err(format!("unknown task state '{other}'")),
-    })
-}
-
 #[derive(Debug, Clone, Copy)]
 struct FpgaSeg {
     cid: crate::circuit::CircuitId,
@@ -183,6 +150,49 @@ pub struct FailoverReceipt {
     /// Unfinished tasks carried onto the destination.
     pub live_tasks: u32,
 }
+
+/// One task's progress through its op list, as a checkpoint holds it
+/// (the [`TaskRun`] fields other than the spec).
+#[derive(Debug, Clone, Copy)]
+struct TaskProgress {
+    state: TaskState,
+    op_idx: usize,
+    op_remaining: SimDuration,
+    completed_at: SimTime,
+}
+
+/// The full mutable state of a [`System`] at one checkpoint instant: what
+/// a restore, a failover or a migration applies to a freshly built system
+/// of the same configuration. `MS` is the manager's
+/// [`FpgaManager::Snapshot`], `S` the scheduler.
+#[derive(Debug, Clone)]
+pub struct SystemImage<MS, S> {
+    tasks: Vec<TaskProgress>,
+    /// Per-task metrics with empty names (names come from the specs).
+    metrics: Vec<TaskMetrics>,
+    op_full: Vec<SimDuration>,
+    op_done_so_far: Vec<SimDuration>,
+    rollbacks: Vec<u64>,
+    dl_attempts: Vec<u32>,
+    fault_restarts: Vec<u32>,
+    poisoned: Vec<Option<SimDuration>>,
+    unfinished: usize,
+    running: Option<Running>,
+    cpu_free_at: SimTime,
+    /// Pending events in firing order, never including [`Ev::Crash`].
+    pending: Vec<(SimTime, Ev)>,
+    latent: BTreeMap<u32, Latent>,
+    stale: BTreeSet<u32>,
+    fault: FaultStats,
+    /// Fault-injector stream states; `None` without an injector.
+    rng: Option<[[u64; 4]; 3]>,
+    admission: Option<AdmissionRt>,
+    sched: S,
+    manager: MS,
+}
+
+/// The checkpoint state type of a `System<M, S>`.
+type ImageOf<M, S> = SystemImage<<M as FpgaManager>::Snapshot, S>;
 
 /// Everything that describes one physical device and dies — or must be
 /// rebuilt — with it: the manager owning its fabric, the fault streams
@@ -224,6 +234,10 @@ pub struct System<M: FpgaManager, S: Scheduler> {
     rollbacks: Vec<u64>,
     queue: EventQueue<Ev>,
     running: Option<Running>,
+    /// The CPU is busy saving a preempted task's state until this instant
+    /// (the preemption overhead after a slice expiry or a watchdog
+    /// reclaim); nothing may be dispatched before it.
+    cpu_free_at: SimTime,
     trace: Trace,
     /// Whether observability (trace + registry + timelines + manager event
     /// recording) is on. Off by default: the hot path then skips all of it.
@@ -252,7 +266,7 @@ pub struct System<M: FpgaManager, S: Scheduler> {
     /// failover) — the next capture must be a full image.
     ckpt_dirty_all: bool,
     /// Most recent captured image (the durable restore point).
-    last_ckpt: Option<CheckpointImage>,
+    last_ckpt: Option<CheckpointImage<ImageOf<M, S>>>,
     /// Checkpoint/crash accounting (carried across restarts).
     crash: CrashStats,
     /// Admission-control runtime (quotas, watchdogs, degradation);
@@ -307,6 +321,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             rollbacks: vec![0; n],
             queue,
             running: None,
+            cpu_free_at: SimTime::ZERO,
             trace: Trace::disabled(),
             obs_on: false,
             reg: Metrics::new(),
@@ -335,11 +350,6 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     pub fn with_device_id(mut self, id: crate::fleet::DeviceId) -> Self {
         self.dev.id = id;
         self
-    }
-
-    /// The physical device this system runs on (0 outside a fleet).
-    pub fn device_id(&self) -> crate::fleet::DeviceId {
-        self.dev.id
     }
 
     /// Attach a deterministic fault injector and the recovery policy that
@@ -395,9 +405,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     }
 
     /// Enable periodic whole-system checkpoints. Fails with
-    /// [`VfpgaError::CheckpointUnsupported`] when the manager or the
-    /// scheduler cannot snapshot its state — refusing up front beats
-    /// silently losing state at the first crash.
+    /// [`VfpgaError::CheckpointUnsupported`] when the manager cannot
+    /// snapshot its state — refusing up front beats silently losing state
+    /// at the first crash.
     pub fn with_checkpoints(mut self, cfg: CheckpointConfig) -> Result<Self, VfpgaError> {
         assert!(
             cfg.interval > SimDuration::ZERO,
@@ -406,11 +416,6 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         if self.dev.manager.snapshot().is_none() {
             return Err(VfpgaError::CheckpointUnsupported {
                 component: self.dev.manager.name(),
-            });
-        }
-        if self.sched.snapshot().is_none() {
-            return Err(VfpgaError::CheckpointUnsupported {
-                component: self.sched.name(),
             });
         }
         self.queue
@@ -452,7 +457,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// lands after the last task finishes is ignored (the run completed
     /// first). Used by [`crate::checkpoint::run_with_crashes`]; plain runs
     /// go through [`run`](Self::run).
-    pub fn run_until(mut self, crash_at: Option<SimTime>) -> Result<RunOutcome, VfpgaError> {
+    pub fn run_until(
+        mut self,
+        crash_at: Option<SimTime>,
+    ) -> Result<RunOutcome<ImageOf<M, S>>, VfpgaError> {
         if let Some(t) = crash_at {
             self.queue.schedule_at(t, Ev::Crash);
         }
@@ -594,7 +602,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             .sample("ready_queue_depth", now, self.sched.len() as f64);
     }
 
-    fn run_core(mut self) -> Result<RunOutcome, VfpgaError> {
+    fn run_core(mut self) -> Result<RunOutcome<ImageOf<M, S>>, VfpgaError> {
         // Seed the fault timeline. A zero-rate plan schedules nothing, so
         // attaching it cannot perturb a fault-free run.
         if self.unfinished > 0 {
@@ -737,10 +745,9 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         self.into_report().0
     }
 
-    /// Capture a periodic checkpoint: serialize the full mutable state,
-    /// prove it round-trips through the JSON parser, and charge the
-    /// readback cost of the resident frames as background port traffic
-    /// (like scrubbing — never billed to a task).
+    /// Capture a periodic checkpoint: copy the full mutable state into a
+    /// typed image and charge the readback cost of the resident frames as
+    /// background port traffic (like scrubbing — never billed to a task).
     fn on_checkpoint(&mut self, now: SimTime) {
         let Some(cfg) = self.ckpt else { return };
         if self.unfinished == 0 {
@@ -784,14 +791,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         // The stored image is always the full snapshot — delta capture
         // changes what crosses the readback port (the cost model), never
         // what a restore can rely on.
-        let state = span::time("capture", || {
-            let state = self.snapshot_json(now);
-            // The round trip is the point: an image that does not survive
-            // the writer/parser pair could never be restored after a real
-            // crash.
-            Json::parse(&state.render())
-                .expect("checkpoint image must survive a render/parse round trip")
-        });
+        let state = span::time("capture", || Arc::new(self.image()));
         match delta {
             Some(changed) => {
                 self.ckpt_chain += 1;
@@ -833,7 +833,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
 
     /// The host dies at `now`: bundle up everything that survives on
     /// durable storage (last checkpoint + journal + accounting).
-    fn crash_now(&mut self, now: SimTime) -> CrashState {
+    fn crash_now(&mut self, now: SimTime) -> CrashState<ImageOf<M, S>> {
         self.crash.crashes += 1;
         let base = self.last_ckpt.as_ref().map(|i| i.wal_len).unwrap_or(0);
         let at_risk = (self.dev.wal.len() - base) as u32;
@@ -867,7 +867,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// journal on, post-checkpoint downloads invalidate overlapping
     /// claims (clean re-downloads later); with it off, those claims stay
     /// and are marked stale — the next "hit" computes garbage.
-    pub fn restore_from(&mut self, state: &CrashState) -> Result<(), VfpgaError> {
+    pub fn restore_from(&mut self, state: &CrashState<ImageOf<M, S>>) -> Result<(), VfpgaError> {
         let _s = span::guard("restore");
         let Some(cfg) = self.ckpt else {
             return Err(VfpgaError::CheckpointCorrupt {
@@ -882,8 +882,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         self.dev.wal = state.wal.clone();
         let base = state.image.as_ref().map(|i| i.wal_len).unwrap_or(0);
         if let Some(image) = &state.image {
-            self.apply_image(image)
-                .map_err(|reason| VfpgaError::CheckpointCorrupt { reason })?;
+            self.apply(&image.state)?;
             self.ckpt_seq = image.seq;
             self.last_ckpt = Some(image.clone());
         }
@@ -982,7 +981,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// at the circuit's next activation. A mid-flight FPGA segment
     /// restored from the image re-executes its post-checkpoint work on
     /// the destination, exactly like the journal-on restore path.
-    pub fn fail_over_from(&mut self, state: &CrashState) -> Result<FailoverReceipt, VfpgaError> {
+    pub fn fail_over_from(
+        &mut self,
+        state: &CrashState<ImageOf<M, S>>,
+    ) -> Result<FailoverReceipt, VfpgaError> {
         let _s = span::guard("failover");
         if self.ckpt.is_none() {
             return Err(VfpgaError::CheckpointCorrupt {
@@ -996,8 +998,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         let base = state.image.as_ref().map(|i| i.wal_len).unwrap_or(0);
         let mut redo_window = crash_at - SimTime::ZERO;
         if let Some(image) = &state.image {
-            self.apply_image(image)
-                .map_err(|reason| VfpgaError::CheckpointCorrupt { reason })?;
+            self.apply(&image.state)?;
             self.ckpt_seq = image.seq;
             redo_window = crash_at - image.at;
             // The journal restarts empty on the destination: its records
@@ -1167,7 +1168,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// a full re-download at next activation, exactly like a failover.
     pub fn migrate_in(
         &mut self,
-        state: &CrashState,
+        state: &CrashState<ImageOf<M, S>>,
         tenant: u32,
         delta: bool,
     ) -> Result<crate::migrate::MigrateInReceipt, VfpgaError> {
@@ -1185,8 +1186,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         let mut redo_window = cut_at - SimTime::ZERO;
         let mut resume_at = SimTime::ZERO;
         if let Some(image) = &state.image {
-            self.apply_image(image)
-                .map_err(|reason| VfpgaError::CheckpointCorrupt { reason })?;
+            self.apply(&image.state)?;
             self.ckpt_seq = image.seq;
             redo_window = cut_at - image.at;
             resume_at = image.at;
@@ -1262,550 +1262,119 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         })
     }
 
-    /// Serialize the full mutable system state. Observability state
-    /// (trace buffer, registry, timelines) is deliberately excluded: it
-    /// never influences simulated behaviour, and a real in-memory trace
-    /// dies with its host anyway.
-    fn snapshot_json(&self, now: SimTime) -> Json {
-        let dur = |d: SimDuration| Json::from(d.as_nanos());
-        let time = |t: SimTime| Json::from((t - SimTime::ZERO).as_nanos());
-        let tasks: Vec<Json> = self
-            .tasks
-            .iter()
-            .map(|t| {
-                Obj::new()
-                    .set("state", state_str(t.state))
-                    .set("op_idx", t.op_idx as u64)
-                    .set("op_remaining", dur(t.op_remaining))
-                    .set("completed_at", time(t.completed_at))
-                    .build()
-            })
-            .collect();
-        let metrics: Vec<Json> = self
-            .metrics
-            .iter()
-            .map(|m| {
-                Obj::new()
-                    .set("arrival", time(m.arrival))
-                    .set("completion", time(m.completion))
-                    .set("cpu", dur(m.cpu_time))
-                    .set("fpga", dur(m.fpga_time))
-                    .set("overhead", dur(m.overhead_time))
-                    .set("lost", dur(m.lost_time))
-                    .set("fault_lost", dur(m.fault_lost_time))
-                    .set("blocked", m.blocked_count)
-                    .set("failed", m.failed)
-                    .set("corrupted", m.corrupted)
-                    .set("degraded", dur(m.degraded_time))
-                    .set("quarantined", m.quarantined)
-                    .set("rejected", m.rejected)
-                    .set("unschedulable", m.unschedulable)
-                    .set("deadline_missed", m.deadline_missed)
-                    .set("lost_in_flight", m.lost_in_flight)
-                    .build()
-            })
-            .collect();
-        let latent: Vec<Json> = self
-            .dev
-            .latent
-            .iter()
-            .map(|(cid, l)| {
-                Json::Arr(vec![
-                    Json::from(u64::from(*cid)),
-                    time(l.struck_at),
-                    Json::from(l.detected),
-                ])
-            })
-            .collect();
-        let running = match &self.running {
-            None => Json::Null,
-            Some(r) => Obj::new()
-                .set("tid", u64::from(r.tid.0))
-                .set("dur", dur(r.dur))
-                .set("exec_start", time(r.exec_start))
-                .set(
-                    "fpga",
-                    match &r.fpga {
-                        None => Json::Null,
-                        Some(f) => Obj::new()
-                            .set("cid", u64::from(f.cid.0))
-                            .set("completes", f.completes)
-                            .set("slack", dur(f.slack))
-                            .set("poll", dur(f.poll_cost))
-                            .build(),
-                    },
-                )
-                .build(),
-        };
-        let pending: Vec<Json> = self
-            .queue
-            .pending_in_order()
-            .into_iter()
-            .filter_map(|e| {
-                let (kind, arg) = match e.event {
-                    Ev::Arrive(t) => ("arrive", Json::from(u64::from(t.0))),
-                    Ev::Timer(t) => ("timer", Json::from(u64::from(t.0))),
-                    Ev::Dispatch => ("dispatch", Json::Null),
-                    Ev::Seu => ("seu", Json::Null),
-                    Ev::Scrub => ("scrub", Json::Null),
-                    Ev::ColumnFail(None) => ("colfail", Json::Null),
-                    Ev::ColumnFail(Some(c)) => ("colfail_at", Json::from(u64::from(c))),
-                    Ev::RetryDone(t) => ("retry_done", Json::from(u64::from(t.0))),
-                    Ev::Retry(t) => ("retry", Json::from(u64::from(t.0))),
-                    Ev::Checkpoint => ("ckpt", Json::Null),
-                    Ev::Watchdog { tid, seq } => (
-                        "watchdog",
-                        Json::Arr(vec![Json::from(u64::from(tid.0)), Json::from(seq)]),
-                    ),
-                    // The crash is the one event that must NOT survive:
-                    // the next segment gets its own crash time.
-                    Ev::Crash => return None,
-                };
-                Some(Json::Arr(vec![time(e.at), Json::from(kind), arg]))
-            })
-            .collect();
-        let f = &self.fault;
-        let fault = Obj::new()
-            .set("download_faults", f.download_faults)
-            .set("seu_faults", f.seu_faults)
-            .set("seu_benign", f.seu_benign)
-            .set("column_faults", f.column_faults)
-            .set("crc_mismatches", f.crc_mismatches)
-            .set("retries", f.retries)
-            .set("retry_time", dur(f.retry_time))
-            .set("tasks_failed", f.tasks_failed)
-            .set("scrub_passes", f.scrub_passes)
-            .set("scrub_time", dur(f.scrub_time))
-            .set("repairs", f.repairs)
-            .set("repair_time", dur(f.repair_time))
-            .set("work_lost", dur(f.work_lost))
-            .set("columns_retired", f.columns_retired)
-            .set("retire_time", dur(f.retire_time))
-            .set("mttr_total", dur(f.mttr_total))
-            .build();
-        let rng = match &self.dev.injector {
-            None => Json::Null,
-            Some(inj) => Json::Arr(
-                inj.stream_states()
-                    .iter()
-                    .map(|s| Json::Arr(s.iter().map(|&w| Json::from(w)).collect()))
-                    .collect(),
-            ),
-        };
-        let admission = match &self.admission {
-            None => Json::Null,
-            Some(a) => {
-                let in_flight: Vec<Json> = a
-                    .in_flight
-                    .iter()
-                    .map(|(t, c)| {
-                        Json::Arr(vec![Json::from(u64::from(*t)), Json::from(u64::from(*c))])
-                    })
-                    .collect();
-                let deferred: Vec<Json> = a
-                    .deferred
-                    .iter()
-                    .map(|(t, q)| {
-                        Json::Arr(vec![
-                            Json::from(u64::from(*t)),
-                            Json::Arr(q.iter().map(|&x| Json::from(u64::from(x))).collect()),
-                        ])
-                    })
-                    .collect();
-                let st = &a.stats;
-                Obj::new()
-                    .set("in_flight", in_flight)
-                    .set("deferred", deferred)
-                    .set("wd_seq", a.wd_seq.clone())
-                    .set(
-                        "wd_trips",
-                        a.wd_trips.iter().map(|&v| u64::from(v)).collect::<Vec<_>>(),
-                    )
-                    .set(
-                        "degraded",
-                        a.degraded
-                            .iter()
-                            .map(|&b| Json::from(b))
-                            .collect::<Vec<_>>(),
-                    )
-                    .set("degrade_mode", a.degrade_mode)
-                    .set(
-                        "stats",
-                        Obj::new()
-                            .set("admitted", st.admitted)
-                            .set("deferred", st.deferred)
-                            .set("rejected", st.rejected)
-                            .set("quarantined", st.quarantined)
-                            .set("deadline_missed", st.deadline_missed)
-                            .set("wd_armed", st.watchdog_armed)
-                            .set("wd_fired", st.watchdog_fired)
-                            .set("wd_preempt", dur(st.watchdog_preempt_time))
-                            .set("wd_lost", dur(st.watchdog_lost_time))
-                            .set("degraded_dispatches", st.degraded_dispatches)
-                            .set("degraded_time", dur(st.degraded_time))
-                            .set("unschedulable", st.unschedulable)
-                            .set("degrade_enters", st.degrade_enters)
-                            .set("degrade_exits", st.degrade_exits)
-                            .build(),
-                    )
-                    .build()
-            }
-        };
-        Obj::new()
-            .set("schema", "vfpga-ckpt/1")
-            .set("at", time(now))
-            .set("tasks", tasks)
-            .set("metrics", metrics)
-            .set(
-                "op_full",
-                self.op_full.iter().map(|&d| dur(d)).collect::<Vec<_>>(),
-            )
-            .set(
-                "op_done",
-                self.op_done_so_far
-                    .iter()
-                    .map(|&d| dur(d))
-                    .collect::<Vec<_>>(),
-            )
-            .set("rollbacks", self.rollbacks.clone())
-            .set(
-                "dl_attempts",
-                self.dl_attempts
-                    .iter()
-                    .map(|&v| u64::from(v))
-                    .collect::<Vec<_>>(),
-            )
-            .set(
-                "fault_restarts",
-                self.fault_restarts
-                    .iter()
-                    .map(|&v| u64::from(v))
-                    .collect::<Vec<_>>(),
-            )
-            .set(
-                "poisoned",
-                self.poisoned
-                    .iter()
-                    .map(|p| p.map(dur).unwrap_or(Json::Null))
-                    .collect::<Vec<_>>(),
-            )
-            .set("latent", latent)
-            .set("unfinished", self.unfinished as u64)
-            .set(
-                "stale",
-                self.dev
-                    .stale
-                    .iter()
-                    .map(|&c| u64::from(c))
-                    .collect::<Vec<_>>(),
-            )
-            .set("running", running)
-            .set("pending", pending)
-            .set("fault", fault)
-            .set("rng", rng)
-            .set("admission", admission)
-            .set("sched", self.sched.snapshot().expect("validated at enable"))
-            .set(
-                "manager",
-                self.dev.manager.snapshot().expect("validated at enable"),
-            )
-            .build()
+    /// Capture the full mutable system state. Specs, task names and
+    /// observability state (trace buffer, registry, timelines, the
+    /// manager's event buffer) are deliberately excluded: the first two
+    /// are rebuilt identically with the system, and observability never
+    /// influences simulated behaviour — a real in-memory trace dies with
+    /// its host anyway.
+    fn image(&self) -> ImageOf<M, S> {
+        SystemImage {
+            tasks: self
+                .tasks
+                .iter()
+                .map(|t| TaskProgress {
+                    state: t.state,
+                    op_idx: t.op_idx,
+                    op_remaining: t.op_remaining,
+                    completed_at: t.completed_at,
+                })
+                .collect(),
+            metrics: self
+                .metrics
+                .iter()
+                .map(|m| TaskMetrics {
+                    name: String::new(),
+                    ..*m
+                })
+                .collect(),
+            op_full: self.op_full.clone(),
+            op_done_so_far: self.op_done_so_far.clone(),
+            rollbacks: self.rollbacks.clone(),
+            dl_attempts: self.dl_attempts.clone(),
+            fault_restarts: self.fault_restarts.clone(),
+            poisoned: self.poisoned.clone(),
+            unfinished: self.unfinished,
+            running: self.running.clone(),
+            cpu_free_at: self.cpu_free_at,
+            // The crash is the one event that must NOT survive: the next
+            // segment gets its own crash time.
+            pending: self
+                .queue
+                .pending_in_order()
+                .into_iter()
+                .filter(|e| !matches!(e.event, Ev::Crash))
+                .map(|e| (e.at, e.event))
+                .collect(),
+            latent: self.dev.latent.clone(),
+            stale: self.dev.stale.clone(),
+            fault: self.fault,
+            rng: self.dev.injector.as_ref().map(|i| i.stream_states()),
+            admission: self.admission.clone(),
+            sched: self.sched.clone(),
+            manager: self.dev.manager.snapshot().expect("validated at enable"),
+        }
     }
 
-    /// Restore the state [`snapshot_json`](Self::snapshot_json) captured
-    /// into this freshly built system.
-    fn apply_image(&mut self, image: &CheckpointImage) -> Result<(), String> {
-        let s = &image.state;
-        let n = self.tasks.len();
-        let get = |key: &str| -> Result<&Json, String> {
-            s.get(key).ok_or_else(|| format!("missing '{key}'"))
-        };
-        let u64_of = |v: &Json, what: &str| -> Result<u64, String> {
-            match v {
-                Json::UInt(x) => Ok(*x),
-                other => Err(format!("'{what}' not a u64: {other:?}")),
-            }
-        };
-        let field = |v: &Json, key: &str| -> Result<u64, String> {
-            u64_of(v.get(key).ok_or_else(|| format!("missing '{key}'"))?, key)
-        };
-        let fdur = |v: &Json, key: &str| field(v, key).map(SimDuration::from_nanos);
-        let ftime = |v: &Json, key: &str| {
-            field(v, key).map(|ns| SimTime::ZERO + SimDuration::from_nanos(ns))
-        };
-        let fbool = |v: &Json, key: &str| -> Result<bool, String> {
-            match v.get(key) {
-                Some(Json::Bool(b)) => Ok(*b),
-                other => Err(format!("'{key}' not a bool: {other:?}")),
-            }
-        };
-        fn arr_of<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], String> {
-            v.as_arr().ok_or_else(|| format!("'{what}' not an array"))
-        }
-        fn fixed<'a>(v: &'a Json, what: &str, n: usize) -> Result<&'a [Json], String> {
-            let a = arr_of(v, what)?;
-            if a.len() != n {
-                return Err(format!("'{what}' has {} entries, want {n}", a.len()));
-            }
-            Ok(a)
-        }
-
-        for (i, t) in fixed(get("tasks")?, "tasks", n)?.iter().enumerate() {
-            let st = match t.get("state") {
-                Some(Json::Str(v)) => state_from_str(v)?,
-                other => return Err(format!("task state: {other:?}")),
-            };
-            let run = &mut self.tasks[i];
-            run.state = st;
-            run.op_idx = field(t, "op_idx")? as usize;
-            run.op_remaining = fdur(t, "op_remaining")?;
-            run.completed_at = ftime(t, "completed_at")?;
-        }
-        for (i, m) in fixed(get("metrics")?, "metrics", n)?.iter().enumerate() {
-            let mm = &mut self.metrics[i];
-            mm.arrival = ftime(m, "arrival")?;
-            mm.completion = ftime(m, "completion")?;
-            mm.cpu_time = fdur(m, "cpu")?;
-            mm.fpga_time = fdur(m, "fpga")?;
-            mm.overhead_time = fdur(m, "overhead")?;
-            mm.lost_time = fdur(m, "lost")?;
-            mm.fault_lost_time = fdur(m, "fault_lost")?;
-            mm.blocked_count = field(m, "blocked")?;
-            mm.failed = fbool(m, "failed")?;
-            mm.corrupted = fbool(m, "corrupted")?;
-            mm.degraded_time = fdur(m, "degraded")?;
-            mm.quarantined = fbool(m, "quarantined")?;
-            mm.rejected = fbool(m, "rejected")?;
-            mm.unschedulable = fbool(m, "unschedulable")?;
-            mm.deadline_missed = fbool(m, "deadline_missed")?;
-            mm.lost_in_flight = fbool(m, "lost_in_flight")?;
-        }
-        let vec_u64 = |key: &'static str| -> Result<Vec<u64>, String> {
-            fixed(get(key)?, key, n)?
-                .iter()
-                .map(|v| u64_of(v, key))
-                .collect()
-        };
-        self.op_full = vec_u64("op_full")?
-            .into_iter()
-            .map(SimDuration::from_nanos)
-            .collect();
-        self.op_done_so_far = vec_u64("op_done")?
-            .into_iter()
-            .map(SimDuration::from_nanos)
-            .collect();
-        self.rollbacks = vec_u64("rollbacks")?;
-        self.dl_attempts = vec_u64("dl_attempts")?
-            .into_iter()
-            .map(|v| v as u32)
-            .collect();
-        self.fault_restarts = vec_u64("fault_restarts")?
-            .into_iter()
-            .map(|v| v as u32)
-            .collect();
-        self.poisoned = fixed(get("poisoned")?, "poisoned", n)?
-            .iter()
-            .map(|v| match v {
-                Json::Null => Ok(None),
-                Json::UInt(ns) => Ok(Some(SimDuration::from_nanos(*ns))),
-                other => Err(format!("poisoned entry: {other:?}")),
+    /// Restore the state [`image`](Self::image) captured into this freshly
+    /// built system. Fails with [`VfpgaError::CheckpointCorrupt`] when the
+    /// image was captured from a differently built system.
+    fn apply(&mut self, image: &ImageOf<M, S>) -> Result<(), VfpgaError> {
+        let corrupt = |reason: &str| {
+            Err(VfpgaError::CheckpointCorrupt {
+                reason: reason.into(),
             })
-            .collect::<Result<_, String>>()?;
-        self.dev.latent.clear();
-        for v in arr_of(get("latent")?, "latent")? {
-            match v.as_arr() {
-                Some([Json::UInt(cid), Json::UInt(struck), Json::Bool(detected)]) => {
-                    self.dev.latent.insert(
-                        *cid as u32,
-                        Latent {
-                            struck_at: SimTime::ZERO + SimDuration::from_nanos(*struck),
-                            detected: *detected,
-                        },
-                    );
-                }
-                _ => return Err(format!("latent entry: {v:?}")),
-            }
-        }
-        self.unfinished = u64_of(get("unfinished")?, "unfinished")? as usize;
-        self.dev.stale = arr_of(get("stale")?, "stale")?
-            .iter()
-            .map(|v| u64_of(v, "stale").map(|c| c as u32))
-            .collect::<Result<_, String>>()?;
-        self.running = match get("running")? {
-            Json::Null => None,
-            r => Some(Running {
-                tid: TaskId(field(r, "tid")? as u32),
-                dur: fdur(r, "dur")?,
-                exec_start: ftime(r, "exec_start")?,
-                fpga: match r.get("fpga") {
-                    Some(Json::Null) => None,
-                    Some(f) => Some(FpgaSeg {
-                        cid: CircuitId(field(f, "cid")? as u32),
-                        completes: fbool(f, "completes")?,
-                        slack: fdur(f, "slack")?,
-                        poll_cost: fdur(f, "poll")?,
-                    }),
-                    None => return Err("running missing 'fpga'".into()),
-                },
-            }),
         };
-        let f = get("fault")?;
-        self.fault = FaultStats {
-            download_faults: field(f, "download_faults")?,
-            seu_faults: field(f, "seu_faults")?,
-            seu_benign: field(f, "seu_benign")?,
-            column_faults: field(f, "column_faults")?,
-            crc_mismatches: field(f, "crc_mismatches")?,
-            retries: field(f, "retries")?,
-            retry_time: fdur(f, "retry_time")?,
-            tasks_failed: field(f, "tasks_failed")?,
-            scrub_passes: field(f, "scrub_passes")?,
-            scrub_time: fdur(f, "scrub_time")?,
-            repairs: field(f, "repairs")?,
-            repair_time: fdur(f, "repair_time")?,
-            work_lost: fdur(f, "work_lost")?,
-            columns_retired: field(f, "columns_retired")?,
-            retire_time: fdur(f, "retire_time")?,
-            mttr_total: fdur(f, "mttr_total")?,
-        };
-        match (get("rng")?, self.dev.injector.as_mut()) {
-            (Json::Null, None) => {}
-            (Json::Arr(streams), Some(inj)) => {
-                let mut states = [[0u64; 4]; 3];
-                if streams.len() != 3 {
-                    return Err("rng wants 3 streams".into());
-                }
-                for (i, st) in streams.iter().enumerate() {
-                    let words = arr_of(st, "rng stream")?;
-                    if words.len() != 4 {
-                        return Err("rng stream wants 4 words".into());
-                    }
-                    for (j, w) in words.iter().enumerate() {
-                        states[i][j] = u64_of(w, "rng word")?;
-                    }
-                }
-                inj.restore_stream_states(states);
-            }
-            _ => {
-                return Err("fault injector presence differs from the image".into());
-            }
+        if image.tasks.len() != self.tasks.len() {
+            return corrupt("task count differs from the image");
         }
-        match (get("admission")?, self.admission.as_mut()) {
-            (Json::Null, None) => {}
-            (a @ Json::Obj(_), Some(adm)) => {
-                adm.in_flight.clear();
-                for v in arr_of(
-                    a.get("in_flight").ok_or("missing 'in_flight'")?,
-                    "in_flight",
-                )? {
-                    match v.as_arr() {
-                        Some([Json::UInt(t), Json::UInt(c)]) => {
-                            adm.in_flight.insert(*t as u32, *c as u32);
-                        }
-                        _ => return Err(format!("in_flight entry: {v:?}")),
-                    }
-                }
-                adm.deferred.clear();
-                for v in arr_of(a.get("deferred").ok_or("missing 'deferred'")?, "deferred")? {
-                    match v.as_arr() {
-                        Some([Json::UInt(t), q]) => {
-                            let q: VecDeque<u32> = arr_of(q, "deferred queue")?
-                                .iter()
-                                .map(|x| u64_of(x, "deferred tid").map(|x| x as u32))
-                                .collect::<Result<_, String>>()?;
-                            adm.deferred.insert(*t as u32, q);
-                        }
-                        _ => return Err(format!("deferred entry: {v:?}")),
-                    }
-                }
-                adm.wd_seq = fixed(a.get("wd_seq").ok_or("missing 'wd_seq'")?, "wd_seq", n)?
-                    .iter()
-                    .map(|v| u64_of(v, "wd_seq"))
-                    .collect::<Result<_, String>>()?;
-                adm.wd_trips = fixed(
-                    a.get("wd_trips").ok_or("missing 'wd_trips'")?,
-                    "wd_trips",
-                    n,
-                )?
-                .iter()
-                .map(|v| u64_of(v, "wd_trips").map(|x| x as u32))
-                .collect::<Result<_, String>>()?;
-                adm.degraded = fixed(
-                    a.get("degraded").ok_or("missing 'degraded'")?,
-                    "degraded",
-                    n,
-                )?
-                .iter()
-                .map(|v| match v {
-                    Json::Bool(b) => Ok(*b),
-                    other => Err(format!("degraded entry: {other:?}")),
-                })
-                .collect::<Result<_, String>>()?;
-                adm.degrade_mode = match a.get("degrade_mode").ok_or("missing 'degrade_mode'")? {
-                    Json::Bool(b) => *b,
-                    other => return Err(format!("degrade_mode: {other:?}")),
-                };
-                let st = a.get("stats").ok_or("missing admission 'stats'")?;
-                adm.stats = crate::admission::AdmissionStats {
-                    admitted: field(st, "admitted")?,
-                    deferred: field(st, "deferred")?,
-                    rejected: field(st, "rejected")?,
-                    quarantined: field(st, "quarantined")?,
-                    deadline_missed: field(st, "deadline_missed")?,
-                    watchdog_armed: field(st, "wd_armed")?,
-                    watchdog_fired: field(st, "wd_fired")?,
-                    watchdog_preempt_time: fdur(st, "wd_preempt")?,
-                    watchdog_lost_time: fdur(st, "wd_lost")?,
-                    degraded_dispatches: field(st, "degraded_dispatches")?,
-                    degraded_time: fdur(st, "degraded_time")?,
-                    unschedulable: field(st, "unschedulable")?,
-                    degrade_enters: field(st, "degrade_enters")?,
-                    degrade_exits: field(st, "degrade_exits")?,
-                };
-            }
-            _ => {
-                return Err("admission presence differs from the image".into());
-            }
+        if image.rng.is_some() != self.dev.injector.is_some() {
+            return corrupt("fault injector presence differs from the image");
         }
-        self.sched
-            .restore(get("sched")?)
-            .map_err(|e| format!("scheduler: {e}"))?;
-        self.dev
-            .manager
-            .restore(get("manager")?)
-            .map_err(|e| format!("manager: {e}"))?;
+        if image.admission.is_some() != self.admission.is_some() {
+            return corrupt("admission presence differs from the image");
+        }
+        for (run, p) in self.tasks.iter_mut().zip(&image.tasks) {
+            run.state = p.state;
+            run.op_idx = p.op_idx;
+            run.op_remaining = p.op_remaining;
+            run.completed_at = p.completed_at;
+        }
+        for (m, saved) in self.metrics.iter_mut().zip(&image.metrics) {
+            let name = std::mem::take(&mut m.name);
+            *m = TaskMetrics { name, ..*saved };
+        }
+        self.op_full.clone_from(&image.op_full);
+        self.op_done_so_far.clone_from(&image.op_done_so_far);
+        self.rollbacks.clone_from(&image.rollbacks);
+        self.dl_attempts.clone_from(&image.dl_attempts);
+        self.fault_restarts.clone_from(&image.fault_restarts);
+        self.poisoned.clone_from(&image.poisoned);
+        self.unfinished = image.unfinished;
+        self.running.clone_from(&image.running);
+        self.cpu_free_at = image.cpu_free_at;
+        self.dev.latent.clone_from(&image.latent);
+        self.dev.stale.clone_from(&image.stale);
+        self.fault = image.fault;
+        if let (Some(inj), Some(states)) = (self.dev.injector.as_mut(), image.rng) {
+            inj.restore_stream_states(states);
+        }
+        if let (Some(adm), Some(saved)) = (self.admission.as_mut(), &image.admission) {
+            // The policy is configuration, rebuilt with the system.
+            let policy = std::mem::take(&mut adm.policy);
+            *adm = AdmissionRt {
+                policy,
+                ..saved.clone()
+            };
+        }
+        self.sched.clone_from(&image.sched);
+        self.dev.manager.restore(&image.manager);
         // Pending events last: the fresh queue (clock still at zero)
-        // re-learns every in-flight timer at its absolute time.
+        // re-learns every in-flight timer at its absolute time, in the
+        // order they were pending.
         self.queue.clear();
-        for v in arr_of(get("pending")?, "pending")? {
-            let Some([at, Json::Str(kind), arg]) = v.as_arr() else {
-                return Err(format!("pending entry: {v:?}"));
-            };
-            let at = SimTime::ZERO + SimDuration::from_nanos(u64_of(at, "pending at")?);
-            let tid = || -> Result<TaskId, String> {
-                u64_of(arg, "pending arg").map(|t| TaskId(t as u32))
-            };
-            let ev = match kind.as_str() {
-                "arrive" => Ev::Arrive(tid()?),
-                "timer" => Ev::Timer(tid()?),
-                "dispatch" => Ev::Dispatch,
-                "seu" => Ev::Seu,
-                "scrub" => Ev::Scrub,
-                "colfail" => Ev::ColumnFail(None),
-                "colfail_at" => Ev::ColumnFail(Some(u64_of(arg, "pending arg")? as u32)),
-                "retry_done" => Ev::RetryDone(tid()?),
-                "retry" => Ev::Retry(tid()?),
-                "ckpt" => Ev::Checkpoint,
-                "watchdog" => match arg.as_arr() {
-                    Some([Json::UInt(t), Json::UInt(sq)]) => Ev::Watchdog {
-                        tid: TaskId(*t as u32),
-                        seq: *sq,
-                    },
-                    _ => return Err(format!("watchdog arg: {arg:?}")),
-                },
-                other => return Err(format!("unknown pending event '{other}'")),
-            };
-            self.queue.schedule_at(at, ev);
+        for (at, ev) in &image.pending {
+            self.queue.schedule_at(*at, ev.clone());
         }
         Ok(())
     }
@@ -2202,6 +1771,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             self.sched.on_ready(tid, prio, now);
         }
         if post > SimDuration::ZERO {
+            self.cpu_free_at = now + post;
             self.queue.schedule_at(now + post, Ev::Dispatch);
         } else {
             self.dispatch(now);
@@ -2538,7 +2108,8 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     }
 
     fn dispatch(&mut self, now: SimTime) {
-        if self.running.is_some() {
+        // The Ev::Dispatch scheduled with a state save retries at its end.
+        if now < self.cpu_free_at || self.running.is_some() {
             return;
         }
         loop {
@@ -3041,6 +2612,7 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             let prio = self.tasks[ti].spec.priority;
             self.sched.on_ready(tid, prio, now);
             if post_overhead > SimDuration::ZERO {
+                self.cpu_free_at = now + post_overhead;
                 self.queue.schedule_at(now + post_overhead, Ev::Dispatch);
             } else {
                 self.dispatch(now);
@@ -3334,6 +2906,101 @@ mod tests {
         let r = sys.run().unwrap();
         assert_eq!(r.tasks[0].lost_time, SimDuration::ZERO);
         assert!(r.manager_stats.state_saves > 0);
+    }
+
+    #[test]
+    fn nothing_dispatches_inside_a_state_save() {
+        // A slice-expiry preemption holds the CPU for the state readback.
+        // An arrival inside that window must not dispatch anyone: the
+        // save would overlap other work (or even the preempted task's own
+        // re-dispatch), and accounted time would exceed turnaround.
+        let (lib, ids) = lib2();
+        let long = Op::FpgaRun {
+            circuit: ids[1],
+            cycles: 2_000_000,
+        };
+        let build = |late: Option<SimTime>| {
+            let mut specs = vec![
+                TaskSpec::new("fpga", SimTime::ZERO, vec![long]),
+                TaskSpec::new("cpu", SimTime::ZERO, vec![Op::Cpu(ms(30))]),
+            ];
+            if let Some(at) = late {
+                specs.push(TaskSpec::new("late", at, vec![Op::Cpu(ms(1))]));
+            }
+            let mgr = DynLoadManager::new(lib.clone(), timing(), PreemptAction::SaveRestore);
+            let cfg = SystemConfig {
+                preempt: PreemptAction::SaveRestore,
+                ..Default::default()
+            };
+            System::new(
+                lib.clone(),
+                mgr,
+                RoundRobinScheduler::new(ms(5)),
+                cfg,
+                specs,
+            )
+            .with_trace()
+        };
+        let first_save = |trace: &Trace| {
+            trace
+                .entries()
+                .find_map(|e| match e.event {
+                    TraceEvent::Preemption { saved, .. } => Some((e.at, saved)),
+                    _ => None,
+                })
+                .expect("the fpga task is preempted")
+        };
+        let (_, trace) = build(None).run_traced().unwrap();
+        let (at, saved) = first_save(&trace);
+        assert!(saved > SimDuration::ZERO, "save-restore pays a readback");
+        let late = Some(at + saved / 2);
+        let end = at + saved;
+        let check = |r: &Report, trace: &Trace| {
+            for e in trace.entries() {
+                if let TraceEvent::SchedulerDispatch { task, .. } = e.event {
+                    assert!(
+                        e.at < at || e.at >= end,
+                        "task {task} dispatched at {} inside the save [{at}, {end})",
+                        e.at
+                    );
+                }
+            }
+            for m in &r.tasks {
+                assert!(
+                    m.waiting_checked().is_some(),
+                    "{}: accounted time exceeds turnaround",
+                    m.name
+                );
+            }
+        };
+        let (r, trace) = build(late).run_traced().unwrap();
+        assert_eq!(
+            first_save(&trace),
+            (at, saved),
+            "the arrival lands in the save"
+        );
+        check(&r, &trace);
+
+        // The save window is system state: a checkpoint captured inside
+        // it must carry it across a crash, or the arrival dispatches.
+        let capture = at + saved / 4;
+        let cfg = CheckpointConfig::new(capture - SimTime::ZERO);
+        let crash = capture + SimDuration::from_nanos(1);
+        let RunOutcome::Crashed(state) = build(late)
+            .with_checkpoints(cfg)
+            .unwrap()
+            .run_until(Some(crash))
+            .unwrap()
+        else {
+            panic!("the crash lands mid-run");
+        };
+        assert_eq!(state.image.as_ref().map(|i| i.at), Some(capture));
+        let mut sys = build(late).with_checkpoints(cfg).unwrap();
+        sys.restore_from(&state).unwrap();
+        let RunOutcome::Completed(r, trace) = sys.run_until(None).unwrap() else {
+            unreachable!("no crash scheduled");
+        };
+        check(&r, &trace);
     }
 
     #[test]

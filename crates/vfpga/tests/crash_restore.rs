@@ -17,7 +17,7 @@
 //!    spurious retry (recovery-policy edge case).
 
 use fsim::{SimDuration, SimTime};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use vfpga::circuit::CircuitLib;
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::partition::{PartitionManager, PartitionMode};
@@ -30,40 +30,46 @@ use vfpga::{
     RecoveryPolicy, Report, RunOutcome, Scheduler,
 };
 
+/// The four-circuit library, compiled once per test binary: every
+/// system a test builds shares it.
 fn lib4() -> (Arc<CircuitLib>, Vec<vfpga::circuit::CircuitId>) {
     use pnr::{compile, CompileOptions};
-    let mut lib = CircuitLib::new();
-    let ids = vec![
-        lib.register_compiled(
-            compile(
-                &netlist::library::arith::ripple_adder("add", 8),
-                CompileOptions::default(),
-            )
-            .unwrap(),
-        ),
-        lib.register_compiled(
-            compile(
-                &netlist::library::seq::lfsr("lfsr", 16, 0b1101_0000_0000_1000),
-                CompileOptions::default(),
-            )
-            .unwrap(),
-        ),
-        lib.register_compiled(
-            compile(
-                &netlist::library::logic::parity("par", 12),
-                CompileOptions::default(),
-            )
-            .unwrap(),
-        ),
-        lib.register_compiled(
-            compile(
-                &netlist::library::seq::counter("ctr", 12),
-                CompileOptions::default(),
-            )
-            .unwrap(),
-        ),
-    ];
-    (Arc::new(lib), ids)
+    static LIB: OnceLock<(Arc<CircuitLib>, Vec<vfpga::circuit::CircuitId>)> = OnceLock::new();
+    LIB.get_or_init(|| {
+        let mut lib = CircuitLib::new();
+        let ids = vec![
+            lib.register_compiled(
+                compile(
+                    &netlist::library::arith::ripple_adder("add", 8),
+                    CompileOptions::default(),
+                )
+                .unwrap(),
+            ),
+            lib.register_compiled(
+                compile(
+                    &netlist::library::seq::lfsr("lfsr", 16, 0b1101_0000_0000_1000),
+                    CompileOptions::default(),
+                )
+                .unwrap(),
+            ),
+            lib.register_compiled(
+                compile(
+                    &netlist::library::logic::parity("par", 12),
+                    CompileOptions::default(),
+                )
+                .unwrap(),
+            ),
+            lib.register_compiled(
+                compile(
+                    &netlist::library::seq::counter("ctr", 12),
+                    CompileOptions::default(),
+                )
+                .unwrap(),
+            ),
+        ];
+        (Arc::new(lib), ids)
+    })
+    .clone()
 }
 
 /// Tasks alternating between circuits so residency claims churn: exactly
@@ -201,6 +207,80 @@ fn assert_restores_match<M: FpgaManager, S: Scheduler>(name: &str, build: fn() -
 fn crashed_and_restored_runs_match_the_uninterrupted_baseline() {
     assert_restores_match("dynload", build_dynload);
     assert_restores_match("partition", build_partition);
+}
+
+/// Crash a `build()` run once at every distinct instant its uncrashed
+/// traced run records, one nanosecond after each, and at every checkpoint
+/// instant; restore each crash from its last image and finish the run.
+/// Returns how many crash points actually crashed.
+fn crash_everywhere<M: FpgaManager, S: Scheduler>(
+    name: &str,
+    build: fn() -> System<M, S>,
+    interval: SimDuration,
+) -> usize {
+    let cfg = CheckpointConfig::new(interval);
+    let (baseline, trace) = match build()
+        .with_trace()
+        .with_checkpoints(cfg)
+        .unwrap()
+        .run_until(None)
+        .unwrap()
+    {
+        RunOutcome::Completed(r, t) => (*r, t),
+        RunOutcome::Crashed(_) => unreachable!("no crash scheduled"),
+    };
+    let end = SimTime::ZERO + baseline.makespan;
+    let mut points: std::collections::BTreeSet<SimTime> = std::collections::BTreeSet::new();
+    for e in trace.entries() {
+        points.insert(e.at);
+        points.insert(e.at + SimDuration::from_nanos(1));
+    }
+    let mut at = SimTime::ZERO + interval;
+    while at <= end {
+        points.insert(at);
+        at += interval;
+    }
+    let mut crashed = 0;
+    for &t in &points {
+        let state = match build()
+            .with_checkpoints(cfg)
+            .unwrap()
+            .run_until(Some(t))
+            .unwrap()
+        {
+            RunOutcome::Crashed(state) => *state,
+            RunOutcome::Completed(..) => continue,
+        };
+        crashed += 1;
+        let mut sys = build().with_checkpoints(cfg).unwrap();
+        sys.restore_from(&state).unwrap();
+        let r = finish(sys);
+        let d = diff_reports(&baseline, &r);
+        assert!(d.is_empty(), "{name}: crash at {t} diverged: {d:?}");
+        assert_eq!(
+            r.crash.silent_corruptions, 0,
+            "{name}: crash at {t} corrupted state"
+        );
+        for m in &r.tasks {
+            assert!(
+                m.waiting_checked().is_some(),
+                "{name}: crash at {t}: {} accounts more than its turnaround",
+                m.name
+            );
+        }
+    }
+    crashed
+}
+
+#[test]
+fn every_single_crash_point_restores_exactly() {
+    // The typed checkpoint image must restore exactly, wherever the crash
+    // lands: before the first image (cold restart), on a capture instant,
+    // inside a download, or between two events at the same instant.
+    let n = crash_everywhere("dynload", build_dynload, SimDuration::from_millis(1));
+    assert!(n > 20, "dynload: only {n} crash points crashed");
+    let n = crash_everywhere("partition", build_partition, SimDuration::from_micros(300));
+    assert!(n > 20, "partition: only {n} crash points crashed");
 }
 
 #[test]
