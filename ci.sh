@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI — the same gates .github/workflows/ci.yml runs.
+# The CI gates: .github/workflows/ci.yml runs this script, and so can you.
 set -euo pipefail
 cd "$(dirname "$0")"
 

@@ -153,7 +153,7 @@ fn main() {
                     crash_rate_per_s: rate,
                     max_crashes: 4,
                 };
-                let report = run_with_crashes(build(seed), cfg, plan)
+                let (report, _) = run_with_crashes(build(seed), cfg, plan)
                     .expect("crashed run must still terminate");
                 let divergences = diff_reports(&baseline, &report);
                 Cell {

@@ -61,7 +61,7 @@ use std::collections::BTreeMap;
 use vfpga::manager::dynload::DynLoadManager;
 use vfpga::manager::partition::{PartitionManager, PartitionMode};
 use vfpga::{
-    run_fleet, run_with_crashes_traced, AdmissionPolicy, CheckpointConfig, CircuitLib, CrashPlan,
+    run_fleet, run_with_crashes, AdmissionPolicy, CheckpointConfig, CircuitLib, CrashPlan,
     DegradationConfig, DeviceFaultPlan, FaultPlan, FleetConfig, MigrationPlan, Op, PlacementPolicy,
     PreemptAction, RecoveryPolicy, RoundRobinScheduler, SchedulabilityConfig, System, SystemConfig,
     WatchdogConfig,
@@ -377,7 +377,7 @@ fn main() {
                 crash_rate_per_s: 25.0,
                 max_crashes: 3,
             };
-            run_with_crashes_traced(build, cfg, plan).expect("deadlock")
+            run_with_crashes(|| build().with_trace(), cfg, plan).expect("deadlock")
         } else {
             build().with_trace().run_traced().expect("deadlock")
         }

@@ -298,7 +298,7 @@ pub fn run_suite(cfg: PerfConfig) -> (Json, SpanProfile, Table) {
                 specs,
             )
         };
-        let r = run_with_crashes(
+        let (r, _) = run_with_crashes(
             build,
             CheckpointConfig::new(SimDuration::from_millis(5)),
             CrashPlan {
@@ -346,7 +346,7 @@ pub fn run_suite(cfg: PerfConfig) -> (Json, SpanProfile, Table) {
                 specs,
             )
         };
-        let r = run_with_crashes(
+        let (r, _) = run_with_crashes(
             build,
             CheckpointConfig::new(SimDuration::from_millis(5)).with_delta_checkpoints(4),
             CrashPlan {
@@ -367,8 +367,8 @@ pub fn run_suite(cfg: PerfConfig) -> (Json, SpanProfile, Table) {
     // --- fleet failover ----------------------------------------------------
     // The device-loss path the fleet harness takes: a checkpointed run cut
     // by a whole-device crash at a fixed instant, failed over onto a
-    // second (blank) device via checkpoint restore + journal replay, then
-    // driven to completion there.
+    // second (blank) device via `System::adopt`, then driven to
+    // completion there.
     let iters = if cfg.smoke { 2 } else { 5 };
     let hist = time_iters(iters, || {
         let build = |device: u32| {
@@ -410,7 +410,8 @@ pub fn run_suite(cfg: PerfConfig) -> (Json, SpanProfile, Table) {
         let mut dest = build(1)
             .with_checkpoints(CheckpointConfig::new(SimDuration::from_millis(1)))
             .expect("dynload manager snapshots");
-        let receipt = dest.fail_over_from(&state).expect("failover applies");
+        // Every spec of this mix belongs to tenant 0.
+        let receipt = dest.adopt(&state, &[0]).expect("failover applies");
         std::hint::black_box(receipt.redo_window);
         let r = match dest.run_until(None).expect("failover run completes") {
             RunOutcome::Completed(report, _) => report,

@@ -127,30 +127,32 @@ impl WalRecord {
     }
 }
 
-/// Checkpoint and crash-recovery accounting for one (possibly restarted)
-/// run, reported in [`Report::crash`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CrashStats {
-    /// Checkpoints captured (across all segments of a restarted run).
-    pub checkpoints: u64,
-    /// Background readback port time spent capturing checkpoints.
-    pub checkpoint_time: SimDuration,
-    /// Host crashes survived.
-    pub crashes: u64,
-    /// Downloads a crash cut mid-stream (torn writes).
-    pub torn_downloads: u64,
-    /// Committed post-checkpoint journal records reconciled on restore.
-    pub records_redone: u64,
-    /// Torn journal records rolled back on restore.
-    pub records_undone: u64,
-    /// Background port time spent replaying the journal after crashes.
-    pub replay_time: SimDuration,
-    /// Residency claims the journal replay invalidated (each forces a
-    /// clean re-download on next use).
-    pub stale_discards: u64,
-    /// FPGA ops that ran on a stale residency claim because the journal
-    /// was off — silent corruption the system never detected.
-    pub silent_corruptions: u64,
+counters! {
+    /// Checkpoint and crash-recovery accounting for one (possibly restarted)
+    /// run, reported in [`Report::crash`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct CrashStats {
+        /// Checkpoints captured (across all segments of a restarted run).
+        pub checkpoints: u64,
+        /// Background readback port time spent capturing checkpoints.
+        pub checkpoint_time: SimDuration,
+        /// Host crashes survived.
+        pub crashes: u64,
+        /// Downloads a crash cut mid-stream (torn writes).
+        pub torn_downloads: u64,
+        /// Committed post-checkpoint journal records reconciled on restore.
+        pub records_redone: u64,
+        /// Torn journal records rolled back on restore.
+        pub records_undone: u64,
+        /// Background port time spent replaying the journal after crashes.
+        pub replay_time: SimDuration,
+        /// Residency claims the journal replay invalidated (each forces a
+        /// clean re-download on next use).
+        pub stale_discards: u64,
+        /// FPGA ops that ran on a stale residency claim because the journal
+        /// was off — silent corruption the system never detected.
+        pub silent_corruptions: u64,
+    }
 }
 
 /// Everything that survives a host crash: the durable state the next
@@ -271,10 +273,13 @@ pub fn diff_reports(baseline: &Report, restored: &Report) -> Vec<Divergence> {
 }
 
 /// Run a workload to completion under seeded host crashes: build the
-/// system, run until the injector's next crash time, restore from the
-/// carried [`CrashState`], repeat. `build` must produce identically
-/// configured systems (same tasks, manager, scheduler, seeds) — it is
-/// called once per crash plus once.
+/// system, run until the injector's next crash time, count the crash,
+/// restore from the carried [`CrashState`], repeat. `build` must produce
+/// identically configured systems (same tasks, manager, scheduler, seeds)
+/// — it is called once per crash plus once — and decides whether to call
+/// [`System::with_trace`]. The returned trace is the final (completing)
+/// segment's: earlier segments' traces die with their crashed host,
+/// exactly as a real in-memory trace buffer would.
 ///
 /// The injector draws successive *absolute* crash times from its own
 /// seeded stream, so a restored run never re-crashes at an already-fired
@@ -283,7 +288,7 @@ pub fn run_with_crashes<M, S>(
     mut build: impl FnMut() -> System<M, S>,
     cfg: CheckpointConfig,
     plan: CrashPlan,
-) -> Result<Report, VfpgaError>
+) -> Result<(Report, Trace), VfpgaError>
 where
     M: FpgaManager,
     S: Scheduler,
@@ -296,35 +301,12 @@ where
             sys.restore_from(state)?;
         }
         match sys.run_until(inj.next_crash_at())? {
-            RunOutcome::Completed(report, _) => return Ok(*report),
-            RunOutcome::Crashed(state) => carry = Some(*state),
-        }
-    }
-}
-
-/// [`run_with_crashes`] with tracing enabled on every segment; returns
-/// the final (completing) segment's trace alongside the report. Earlier
-/// segments' traces die with their crashed host — exactly as a real
-/// in-memory trace buffer would.
-pub fn run_with_crashes_traced<M, S>(
-    mut build: impl FnMut() -> System<M, S>,
-    cfg: CheckpointConfig,
-    plan: CrashPlan,
-) -> Result<(Report, Trace), VfpgaError>
-where
-    M: FpgaManager,
-    S: Scheduler,
-{
-    let mut inj = CrashInjector::new(plan);
-    let mut carry = None;
-    loop {
-        let mut sys = build().with_trace().with_checkpoints(cfg)?;
-        if let Some(state) = &carry {
-            sys.restore_from(state)?;
-        }
-        match sys.run_until(inj.next_crash_at())? {
             RunOutcome::Completed(report, trace) => return Ok((*report, trace)),
-            RunOutcome::Crashed(state) => carry = Some(*state),
+            RunOutcome::Crashed(state) => {
+                let mut state = *state;
+                state.stats.crashes += 1;
+                carry = Some(state);
+            }
         }
     }
 }

@@ -12,28 +12,34 @@
 //!
 //! The fleet layer never invents costs of its own — it only sequences
 //! per-shard [`System`] runs, cuts them at device-fault instants, and
-//! restores them elsewhere via [`System::fail_over_from`]. A destination
-//! search walks a bounded retry/backoff ladder when every device is
-//! saturated; if the ladder is exhausted the shard either degrades to a
-//! software-priced build (the builder decides what that costs, e12-style)
-//! or — with degradation disabled — its unfinished tasks are counted in
-//! the disjoint `lost_in_flight` slice. A recovered device rejoins the
-//! pool and at most one shard per rejoin is rebalanced onto it through
-//! the same (conservatively priced) checkpoint-cut migration path.
+//! moves them elsewhere via [`System::adopt`]. Every move (failover,
+//! rebalance, software fallback, the lost path, a live migration's
+//! destination) hands `adopt` the tenants the shard owns now, so an image
+//! captured before a live migration never revives the tenant that left.
+//! A destination search walks a bounded retry/backoff ladder when every
+//! device is saturated; if the ladder is exhausted the shard either
+//! degrades to a software-priced build (the builder decides what that
+//! costs, e12-style) or — with degradation disabled — its unfinished
+//! tasks are counted in the disjoint `lost_in_flight` slice. A recovered
+//! device rejoins the pool and at most one shard per rejoin is rebalanced
+//! onto it through the same (conservatively priced) checkpoint-cut path.
+//! Device faults and planned moves are not host crashes: only the crash
+//! windows of a live migration count in `crashes`.
 
-use crate::checkpoint::{CheckpointConfig, RunOutcome};
+use crate::checkpoint::{CheckpointConfig, CrashState, RunOutcome};
 use crate::error::VfpgaError;
 use crate::manager::FpgaManager;
 use crate::metrics::{Report, TaskMetrics};
 use crate::migrate::{CounterBaseline, MigrationEngine};
 use crate::sched::Scheduler;
-use crate::system::System;
+use crate::system::{AdoptReceipt, ImageOf, System};
 use crate::task::TaskSpec;
 use fpga::journal::{MigrationPhase, MigrationResolution};
 use fsim::{
-    DeviceFaultInjector, DeviceFaultPlan, HistSet, LogHistogram, Metrics, MigrationCrashWindow,
-    MigrationPlan, SimDuration, SimTime, TimelineSet, Trace, TraceEvent,
+    span, DeviceFaultInjector, DeviceFaultPlan, HistSet, LogHistogram, Metrics,
+    MigrationCrashWindow, MigrationPlan, SimDuration, SimTime, TimelineSet, Trace, TraceEvent,
 };
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifies one physical device in a fleet. Single-device systems are
@@ -468,6 +474,34 @@ where
     Ok(sys)
 }
 
+/// Adopt `sr`'s tenants from `state` onto `sys`, a fresh build on
+/// `device`, timed under the host span `span_name`. Tasks of tenants the
+/// image holds but the shard no longer owns stay retired.
+fn adopt_shard<M: FpgaManager, S: Scheduler>(
+    sys: &mut System<M, S>,
+    state: &CrashState<ImageOf<M, S>>,
+    sr: &ShardRun<M, S>,
+    device: u32,
+    span_name: &'static str,
+) -> Result<AdoptReceipt, VfpgaError> {
+    let receipt = {
+        let _s = span::guard(span_name);
+        sys.adopt(state, &sr.tenants)
+            .map_err(|e| on_device(device, e))?
+    };
+    debug_assert!(
+        sr.specs
+            .iter()
+            .map(|s| s.tenant)
+            .collect::<BTreeSet<u32>>()
+            .into_iter()
+            .all(|t| sr.tenants.contains(&t) || sys.live_tasks_of(t) == 0),
+        "shard {} adopted live work of a tenant it no longer owns",
+        sr.shard
+    );
+    Ok(receipt)
+}
+
 /// Run a sharded fleet to completion.
 ///
 /// `build` is called once per run segment with a [`ShardCtx`] and must
@@ -644,16 +678,14 @@ where
                     finish(&mut shards[si], &mut hosted, *report, Some(from));
                 }
                 RunOutcome::Crashed(state) => {
-                    // A planned migration, not a host crash: cut at the
-                    // rejoin instant and restore on the rejoined device.
-                    let mut state = *state;
-                    state.stats.crashes -= 1;
+                    // A planned move, not a host crash: cut at the rejoin
+                    // instant and adopt on the rejoined device.
                     hosted[from as usize] -= 1;
                     hosted[idx] += 1;
                     let mut sys = build_shard(&mut build, cfg.ckpt, &shards[si], d, false)?;
-                    let receipt = sys.fail_over_from(&state).map_err(|e| on_device(d, e))?;
+                    let receipt = adopt_shard(&mut sys, &state, &shards[si], d, "failover")?;
                     stats.rebalances += 1;
-                    stats.migrated_claims += u64::from(receipt.migrated_claims);
+                    stats.migrated_claims += receipt.claims.len() as u64;
                     stats.redo_time += receipt.redo_window;
                     migration_lat.record(receipt.redo_window.as_nanos());
                     events.push((
@@ -687,9 +719,6 @@ where
                 continue;
             }
             RunOutcome::Crashed(state) => {
-                let mut state = *state;
-                // Reattribute: this is a device fault, not a host crash.
-                state.stats.crashes -= 1;
                 hosted[from as usize] -= 1;
                 // Walk the retry ladder for a destination that is up and
                 // has capacity at the attempt instant.
@@ -719,9 +748,9 @@ where
                     Some((d, at, k)) => {
                         hosted[d as usize] += 1;
                         let mut sys = build_shard(&mut build, cfg.ckpt, &shards[si], d, false)?;
-                        let receipt = sys.fail_over_from(&state).map_err(|e| on_device(d, e))?;
+                        let receipt = adopt_shard(&mut sys, &state, &shards[si], d, "failover")?;
                         stats.failovers += 1;
-                        stats.migrated_claims += u64::from(receipt.migrated_claims);
+                        stats.migrated_claims += receipt.claims.len() as u64;
                         stats.redo_time += receipt.redo_window;
                         let wait = cfg.retry_backoff * u64::from(k);
                         migration_lat.record((receipt.redo_window + wait).as_nanos());
@@ -743,9 +772,9 @@ where
                         // No device has room: finish the shard on the
                         // software-priced path. It cannot crash again.
                         let mut sys = build_shard(&mut build, cfg.ckpt, &shards[si], from, true)?;
-                        let receipt = sys.fail_over_from(&state).map_err(|e| on_device(from, e))?;
+                        let receipt = adopt_shard(&mut sys, &state, &shards[si], from, "failover")?;
                         stats.software_fallbacks += 1;
-                        stats.migrated_claims += u64::from(receipt.migrated_claims);
+                        stats.migrated_claims += receipt.claims.len() as u64;
                         stats.redo_time += receipt.redo_window;
                         let wait = cfg.retry_backoff * u64::from(cfg.max_failover_retries);
                         migration_lat.record((receipt.redo_window + wait).as_nanos());
@@ -769,7 +798,7 @@ where
                         // last durable checkpoint had not captured as
                         // finished is lost in flight.
                         let mut sys = build_shard(&mut build, cfg.ckpt, &shards[si], from, false)?;
-                        sys.fail_over_from(&state).map_err(|e| on_device(from, e))?;
+                        adopt_shard(&mut sys, &state, &shards[si], from, "failover")?;
                         let report = sys.abandon_lost(t);
                         let lost = report.tasks.iter().filter(|m| m.lost_in_flight).count() as u32;
                         stats.lost_in_flight += u64::from(lost);
@@ -999,17 +1028,16 @@ where
         RunOutcome::Crashed(state) => state,
     };
     let mut state = *state;
-    let (_k, window) = engine.begin_attempt();
+    let window = engine.begin_attempt();
     // In the two genuinely-fatal windows a host dies mid-protocol and
-    // the crash count stands; a clean cut (and the commit-without-free
-    // window, where only the final free is lost) is a planned migration,
-    // not a host crash.
-    let genuine = matches!(
+    // counts as a crash; a clean cut (and the commit-without-free window,
+    // where only the final free is lost) is a planned migration, not a
+    // host crash.
+    if matches!(
         window,
         Some(MigrationCrashWindow::SourceMidPrepare) | Some(MigrationCrashWindow::DestMidCopy)
-    );
-    if !genuine {
-        state.stats.crashes -= 1;
+    ) {
+        state.stats.crashes += 1;
     }
     // The remainder continues on the source either way. It is built with
     // the shard's FULL spec list — identical task indexing — so the cut
@@ -1099,36 +1127,34 @@ where
                 done: None,
             };
             let mut dst = build_shard(build, cfg.ckpt, &dst_sr, d, false)?;
-            let receipt = dst
-                .migrate_in(&state, victim, cfg.migrations.delta_copy)
-                .map_err(|e| on_device(d, e))?;
+            let receipt = adopt_shard(&mut dst, &state, &dst_sr, d, "migrate_in")?;
+            if cfg.migrations.delta_copy {
+                dst.stage_copy(&receipt.claims);
+            }
             engine.journal_both(victim, from, d, MigrationPhase::Commit);
             // Source side: drop the tenant. The free rides along unless
             // the crash window ate it — then journal replay finds the
             // commit-without-free and redoes the free idempotently.
-            let manifest = rem.extract_tenant(victim, t, resume, !redo_free);
-            let freed = if redo_free {
+            let mut freed = rem.extract_tenant(victim, t, resume, !redo_free);
+            if redo_free {
                 let redo = engine
                     .resolve_device(from)
                     .into_iter()
                     .any(|(r, res)| r.tenant == victim && res == MigrationResolution::RedoFree);
                 debug_assert!(redo, "commit without free must redo the free");
-                let freed = rem.free_migrated(victim);
+                freed = rem.free_migrated(victim);
                 debug_assert_eq!(
                     rem.free_migrated(victim),
                     0,
                     "redoing the free is idempotent"
                 );
                 stats.migration_redone_frees += 1;
-                freed
-            } else {
-                manifest.freed_claims
-            };
+            }
             engine.journal_both(victim, from, d, MigrationPhase::Freed);
             engine.truncate_device(from);
             engine.truncate_device(d);
             stats.tenant_migrations += 1;
-            stats.migrated_claims += u64::from(receipt.migrated_claims);
+            stats.migrated_claims += receipt.claims.len() as u64;
             stats.redo_time += receipt.redo_window;
             migration_lat.record(receipt.redo_window.as_nanos());
             events.push((
@@ -1137,7 +1163,7 @@ where
                     tenant: victim,
                     from_device: from,
                     to_device: d,
-                    tasks: receipt.adopted_tasks,
+                    tasks: receipt.live_tasks,
                 },
             ));
             events.push((
@@ -1230,83 +1256,15 @@ fn merge_reports(
         fleet: Some(stats),
     };
     for o in outcomes {
-        let s = &o.report.manager_stats;
-        let m = &mut r.manager_stats;
-        m.downloads += s.downloads;
-        m.frames_written += s.frames_written;
-        m.config_time += s.config_time;
-        m.state_saves += s.state_saves;
-        m.state_restores += s.state_restores;
-        m.state_time += s.state_time;
-        m.hits += s.hits;
-        m.misses += s.misses;
-        m.blocks += s.blocks;
-        m.gc_runs += s.gc_runs;
-        m.relocations += s.relocations;
-        m.failed_relocations += s.failed_relocations;
-        m.evictions += s.evictions;
-        m.splits += s.splits;
-        m.merges += s.merges;
-        m.gc_time += s.gc_time;
-
-        let s = &o.report.fault;
-        let f = &mut r.fault;
-        f.download_faults += s.download_faults;
-        f.seu_faults += s.seu_faults;
-        f.seu_benign += s.seu_benign;
-        f.column_faults += s.column_faults;
-        f.crc_mismatches += s.crc_mismatches;
-        f.retries += s.retries;
-        f.retry_time += s.retry_time;
-        f.tasks_failed += s.tasks_failed;
-        f.scrub_passes += s.scrub_passes;
-        f.scrub_time += s.scrub_time;
-        f.repairs += s.repairs;
-        f.repair_time += s.repair_time;
-        f.work_lost += s.work_lost;
-        f.columns_retired += s.columns_retired;
-        f.retire_time += s.retire_time;
-        f.mttr_total += s.mttr_total;
-
-        let s = &o.report.crash;
-        let c = &mut r.crash;
-        c.checkpoints += s.checkpoints;
-        c.checkpoint_time += s.checkpoint_time;
-        c.crashes += s.crashes;
-        c.torn_downloads += s.torn_downloads;
-        c.records_redone += s.records_redone;
-        c.records_undone += s.records_undone;
-        c.replay_time += s.replay_time;
-        c.stale_discards += s.stale_discards;
-        c.silent_corruptions += s.silent_corruptions;
-
+        r.manager_stats.add(&o.report.manager_stats);
+        r.fault.add(&o.report.fault);
+        r.crash.add(&o.report.crash);
         if let Some(s) = &o.report.admission {
-            let a = r.admission.get_or_insert_with(Default::default);
-            a.admitted += s.admitted;
-            a.deferred += s.deferred;
-            a.rejected += s.rejected;
-            a.quarantined += s.quarantined;
-            a.deadline_missed += s.deadline_missed;
-            a.watchdog_armed += s.watchdog_armed;
-            a.watchdog_fired += s.watchdog_fired;
-            a.watchdog_preempt_time += s.watchdog_preempt_time;
-            a.watchdog_lost_time += s.watchdog_lost_time;
-            a.degraded_dispatches += s.degraded_dispatches;
-            a.degraded_time += s.degraded_time;
-            a.unschedulable += s.unschedulable;
-            a.degrade_enters += s.degrade_enters;
-            a.degrade_exits += s.degrade_exits;
+            r.admission.get_or_insert_with(Default::default).add(s);
         }
-
         if let Some(s) = &o.report.delta {
-            let d = r.delta.get_or_insert_with(Default::default);
-            d.delta_downloads += s.delta_downloads;
-            d.full_downloads += s.full_downloads;
-            d.frames_written += s.frames_written;
-            d.frames_saved += s.frames_saved;
-            d.invalidations += s.invalidations;
+            r.delta.get_or_insert_with(Default::default).add(s);
         }
-
         r.metrics.absorb(&o.report.metrics);
 
         if let Some(h) = &o.report.latency {

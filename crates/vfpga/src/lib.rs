@@ -48,6 +48,32 @@
 //!   protocol is resolved by replay (intent-without-commit undone,
 //!   commit-without-free redone idempotently).
 
+/// Declare a counter struct once. The one field list generates the
+/// struct and its field-wise `add` and `saturating_sub`, so merging shard
+/// reports and subtracting a migration baseline can never miss a field.
+macro_rules! counters {
+    ($(#[$meta:meta])* pub struct $name:ident {
+        $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)*
+    }) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        impl $name {
+            /// Add `other` field by field.
+            pub(crate) fn add(&mut self, other: &Self) {
+                $(self.$field += other.$field;)*
+            }
+
+            /// Subtract `other` field by field, saturating at zero.
+            pub(crate) fn saturating_sub(&mut self, other: &Self) {
+                $(self.$field = self.$field.saturating_sub(other.$field);)*
+            }
+        }
+    };
+}
+
 pub mod admission;
 pub mod checkpoint;
 pub mod circuit;
@@ -68,8 +94,8 @@ pub use admission::{
     AdmissionPolicy, AdmissionStats, DegradationConfig, SchedulabilityConfig, WatchdogConfig,
 };
 pub use checkpoint::{
-    diff_reports, run_with_crashes, run_with_crashes_traced, CheckpointConfig, CheckpointImage,
-    CrashState, CrashStats, Divergence, RunOutcome, WalRecord,
+    diff_reports, run_with_crashes, CheckpointConfig, CheckpointImage, CrashState, CrashStats,
+    Divergence, RunOutcome, WalRecord,
 };
 pub use circuit::{CircuitId, CircuitImage, CircuitLib};
 pub use error::VfpgaError;
@@ -83,11 +109,11 @@ pub use fsim::{
 };
 pub use manager::{Activation, DeviceUsage, FpgaManager, ManagerStats, PreemptAction, PreemptCost};
 pub use metrics::{OverheadBreakdown, Report, TaskMetrics};
-pub use migrate::{CounterBaseline, MigrateInReceipt, MigrationEngine, MigrationManifest};
+pub use migrate::{CounterBaseline, MigrationEngine};
 pub use recovery::{FaultStats, RecoveryPolicy, UpsetRecovery};
 pub use sched::{EdfScheduler, FifoScheduler, PriorityScheduler, RoundRobinScheduler, Scheduler};
 pub use syscall::{FpgaHandle, OpenError, OsInterface};
-pub use system::{CompletionDetect, FailoverReceipt, System, SystemConfig, SystemImage};
+pub use system::{AdoptReceipt, CompletionDetect, System, SystemConfig, SystemImage};
 pub use task::{Op, TaskId, TaskSpec};
 
 #[cfg(test)]

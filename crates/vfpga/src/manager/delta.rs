@@ -22,23 +22,25 @@ use crate::circuit::{CircuitId, CircuitLib};
 use fsim::TraceEvent;
 use std::collections::{BTreeSet, HashMap};
 
-/// Counters for the delta-download path, reported separately from
-/// [`super::ManagerStats`] so legacy exports are untouched when the
-/// feature is off.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeltaStats {
-    /// Downloads served as a frame delta against a tracked base.
-    pub delta_downloads: u64,
-    /// Downloads that went full-price while delta was enabled (no usable
-    /// base for the target columns).
-    pub full_downloads: u64,
-    /// Frames actually written by delta downloads.
-    pub frames_written: u64,
-    /// Frames a full load would have written minus what the deltas wrote.
-    pub frames_saved: u64,
-    /// Tracked bases dropped because their frames could no longer be
-    /// trusted (overwrite, repair, retirement, relocation, GC, crash).
-    pub invalidations: u64,
+counters! {
+    /// Counters for the delta-download path, reported separately from
+    /// [`super::ManagerStats`] so legacy exports are untouched when the
+    /// feature is off.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DeltaStats {
+        /// Downloads served as a frame delta against a tracked base.
+        pub delta_downloads: u64,
+        /// Downloads that went full-price while delta was enabled (no usable
+        /// base for the target columns).
+        pub full_downloads: u64,
+        /// Frames actually written by delta downloads.
+        pub frames_written: u64,
+        /// Frames a full load would have written minus what the deltas wrote.
+        pub frames_saved: u64,
+        /// Tracked bases dropped because their frames could no longer be
+        /// trusted (overwrite, repair, retirement, relocation, GC, crash).
+        pub invalidations: u64,
+    }
 }
 
 /// An evicted circuit whose configuration frames are still physically

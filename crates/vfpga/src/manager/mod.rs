@@ -99,42 +99,44 @@ pub enum PreemptAction {
     SaveRestore,
 }
 
-/// Counters every manager maintains.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ManagerStats {
-    /// Configuration downloads performed.
-    pub downloads: u64,
-    /// Configuration frames written.
-    pub frames_written: u64,
-    /// Total time spent downloading configurations.
-    pub config_time: SimDuration,
-    /// State readbacks (saves).
-    pub state_saves: u64,
-    /// State restores.
-    pub state_restores: u64,
-    /// Total time spent moving state.
-    pub state_time: SimDuration,
-    /// Activations served without any download (residency hits).
-    pub hits: u64,
-    /// Activations that required a download (misses).
-    pub misses: u64,
-    /// Times a task had to block on the resource.
-    pub blocks: u64,
-    /// Garbage-collection runs (partition manager).
-    pub gc_runs: u64,
-    /// Circuits relocated by GC.
-    pub relocations: u64,
-    /// Relocations abandoned because the circuit would not route.
-    pub failed_relocations: u64,
-    /// Idle resident circuits evicted to make room.
-    pub evictions: u64,
-    /// Partition splits (variable partitioning).
-    pub splits: u64,
-    /// Partition merges (garbage collection).
-    pub merges: u64,
-    /// Total time spent in garbage-collection runs (relocation downloads
-    /// and state moves triggered by GC).
-    pub gc_time: SimDuration,
+counters! {
+    /// Counters every manager maintains.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct ManagerStats {
+        /// Configuration downloads performed.
+        pub downloads: u64,
+        /// Configuration frames written.
+        pub frames_written: u64,
+        /// Total time spent downloading configurations.
+        pub config_time: SimDuration,
+        /// State readbacks (saves).
+        pub state_saves: u64,
+        /// State restores.
+        pub state_restores: u64,
+        /// Total time spent moving state.
+        pub state_time: SimDuration,
+        /// Activations served without any download (residency hits).
+        pub hits: u64,
+        /// Activations that required a download (misses).
+        pub misses: u64,
+        /// Times a task had to block on the resource.
+        pub blocks: u64,
+        /// Garbage-collection runs (partition manager).
+        pub gc_runs: u64,
+        /// Circuits relocated by GC.
+        pub relocations: u64,
+        /// Relocations abandoned because the circuit would not route.
+        pub failed_relocations: u64,
+        /// Idle resident circuits evicted to make room.
+        pub evictions: u64,
+        /// Partition splits (variable partitioning).
+        pub splits: u64,
+        /// Partition merges (garbage collection).
+        pub merges: u64,
+        /// Total time spent in garbage-collection runs (relocation downloads
+        /// and state moves triggered by GC).
+        pub gc_time: SimDuration,
+    }
 }
 
 /// A point-in-time snapshot of device occupancy, for utilization

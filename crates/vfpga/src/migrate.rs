@@ -10,8 +10,9 @@
 //!   what a failover would carry), reserve the destination, and journal a
 //!   [`MigrationPhase::Intent`] record on *both* sides' migration logs.
 //! * **Commit** — build the destination shard, adopt the tenant via
-//!   [`crate::System::migrate_in`] (delta-anchored ghost implant when the
-//!   destination manager has delta reconfiguration enabled), flip the
+//!   [`crate::System::adopt`] (the path every failover takes too), stage
+//!   a delta-anchored ghost copy of its claims when the plan asks for
+//!   it, flip the
 //!   placement in the fleet table, journal [`MigrationPhase::Commit`],
 //!   then free the tenant's source-side residency and journal
 //!   [`MigrationPhase::Freed`].
@@ -26,16 +27,19 @@
 //! columns are freed again; freeing twice is a no-op).
 //!
 //! The destination system adopts the *whole* shard image (same task
-//! indexing as the source, so snapshots restore unchanged) and then
-//! retires every non-tenant task as [`crate::task::TaskState::Migrated`].
-//! Its report therefore carries the source's cumulative counters; the
-//! [`CounterBaseline`] captured at adoption time is subtracted before the
-//! fleet merges reports, so migrated work is never double-counted.
+//! indexing as the source, so snapshots restore unchanged), and `adopt`
+//! retires every task outside the shard's tenants as
+//! [`crate::task::TaskState::Migrated`]. A later failover of either side
+//! adopts with that side's tenants again, so restoring an image captured
+//! before the move never revives the tenant that left. The destination's
+//! report carries the source's cumulative counters; the receipt's
+//! [`CounterBaseline`] is subtracted before the fleet merges reports, so
+//! migrated work is never double-counted.
 
 use std::collections::BTreeMap;
 
 use fpga::journal::{MigrationLog, MigrationPhase, MigrationRecord, MigrationResolution};
-use fsim::{MigrationCrashWindow, MigrationInjector, MigrationPlan, SimDuration, SimTime};
+use fsim::{MigrationCrashWindow, MigrationInjector, MigrationPlan, SimTime};
 
 use crate::admission::AdmissionStats;
 use crate::checkpoint::CrashStats;
@@ -43,43 +47,12 @@ use crate::manager::{DeltaStats, ManagerStats};
 use crate::metrics::Report;
 use crate::recovery::FaultStats;
 
-/// What [`crate::System::extract_tenant`] removed from the source side of
-/// a migration split.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MigrationManifest {
-    /// Non-terminal tasks of the tenant retired as `Migrated` (they
-    /// continue on the destination, which reports their real outcome).
-    pub moved_tasks: u32,
-    /// Source residency claims freed (zero when the free was deferred to
-    /// the journal-replay redo path).
-    pub freed_claims: u32,
-}
-
-/// What [`crate::System::migrate_in`] found while adopting a tenant.
-#[derive(Debug, Clone)]
-pub struct MigrateInReceipt {
-    /// Live tasks of the tenant carried onto the destination.
-    pub adopted_tasks: u32,
-    /// The tenant's residency claims that were staged-copied (delta on)
-    /// or will re-download at next activation (delta off).
-    pub migrated_claims: u32,
-    /// Ghost images implanted for delta-anchored revalidation.
-    pub ghosts_implanted: u32,
-    /// Torn (mid-flight at the cut) journal records dropped.
-    pub torn_undone: u32,
-    /// Work window the destination re-executes: cut time minus the
-    /// restored checkpoint's capture time.
-    pub redo_window: SimDuration,
-    /// Source-cumulative counters at adoption time; subtract from the
-    /// destination's final report before merging.
-    pub baseline: CounterBaseline,
-}
-
-/// Cumulative counters a destination system inherits from the source
-/// image at adoption time. The destination's final report carries
-/// `source + own` for every counter; subtracting this baseline leaves the
-/// destination's own increment, so the fleet merge (which sums shard
-/// reports) counts migrated work exactly once.
+/// Cumulative counters a migration destination inherits from the source
+/// image at adoption time (see [`crate::AdoptReceipt::baseline`]). The
+/// destination's final report carries `source + own` for every counter;
+/// subtracting this baseline leaves the destination's own increment, so
+/// the fleet merge (which sums shard reports) counts migrated work
+/// exactly once.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CounterBaseline {
     /// Manager counters restored from the image.
@@ -95,14 +68,6 @@ pub struct CounterBaseline {
     pub delta: Option<DeltaStats>,
 }
 
-fn sub_u64(a: u64, b: u64) -> u64 {
-    a.saturating_sub(b)
-}
-
-fn sub_dur(a: SimDuration, b: SimDuration) -> SimDuration {
-    SimDuration::from_nanos(a.as_nanos().saturating_sub(b.as_nanos()))
-}
-
 impl CounterBaseline {
     /// Subtract the inherited baseline from `r`'s cumulative counters,
     /// field-wise and saturating, leaving only what the destination did
@@ -110,79 +75,14 @@ impl CounterBaseline {
     /// only the migrated tenant's rows from this report, and those rows'
     /// cumulative per-task metrics are exactly right.
     pub fn subtract_from(&self, r: &mut Report) {
-        let m = &mut r.manager_stats;
-        let b = &self.manager;
-        m.downloads = sub_u64(m.downloads, b.downloads);
-        m.frames_written = sub_u64(m.frames_written, b.frames_written);
-        m.config_time = sub_dur(m.config_time, b.config_time);
-        m.state_saves = sub_u64(m.state_saves, b.state_saves);
-        m.state_restores = sub_u64(m.state_restores, b.state_restores);
-        m.state_time = sub_dur(m.state_time, b.state_time);
-        m.hits = sub_u64(m.hits, b.hits);
-        m.misses = sub_u64(m.misses, b.misses);
-        m.blocks = sub_u64(m.blocks, b.blocks);
-        m.gc_runs = sub_u64(m.gc_runs, b.gc_runs);
-        m.relocations = sub_u64(m.relocations, b.relocations);
-        m.failed_relocations = sub_u64(m.failed_relocations, b.failed_relocations);
-        m.evictions = sub_u64(m.evictions, b.evictions);
-        m.splits = sub_u64(m.splits, b.splits);
-        m.merges = sub_u64(m.merges, b.merges);
-        m.gc_time = sub_dur(m.gc_time, b.gc_time);
-
-        let f = &mut r.fault;
-        let b = &self.fault;
-        f.download_faults = sub_u64(f.download_faults, b.download_faults);
-        f.seu_faults = sub_u64(f.seu_faults, b.seu_faults);
-        f.seu_benign = sub_u64(f.seu_benign, b.seu_benign);
-        f.column_faults = sub_u64(f.column_faults, b.column_faults);
-        f.crc_mismatches = sub_u64(f.crc_mismatches, b.crc_mismatches);
-        f.retries = sub_u64(f.retries, b.retries);
-        f.retry_time = sub_dur(f.retry_time, b.retry_time);
-        f.tasks_failed = sub_u64(f.tasks_failed, b.tasks_failed);
-        f.scrub_passes = sub_u64(f.scrub_passes, b.scrub_passes);
-        f.scrub_time = sub_dur(f.scrub_time, b.scrub_time);
-        f.repairs = sub_u64(f.repairs, b.repairs);
-        f.repair_time = sub_dur(f.repair_time, b.repair_time);
-        f.work_lost = sub_dur(f.work_lost, b.work_lost);
-        f.columns_retired = sub_u64(f.columns_retired, b.columns_retired);
-        f.retire_time = sub_dur(f.retire_time, b.retire_time);
-        f.mttr_total = sub_dur(f.mttr_total, b.mttr_total);
-
-        let c = &mut r.crash;
-        let b = &self.crash;
-        c.checkpoints = sub_u64(c.checkpoints, b.checkpoints);
-        c.checkpoint_time = sub_dur(c.checkpoint_time, b.checkpoint_time);
-        c.crashes = sub_u64(c.crashes, b.crashes);
-        c.torn_downloads = sub_u64(c.torn_downloads, b.torn_downloads);
-        c.records_redone = sub_u64(c.records_redone, b.records_redone);
-        c.records_undone = sub_u64(c.records_undone, b.records_undone);
-        c.replay_time = sub_dur(c.replay_time, b.replay_time);
-        c.stale_discards = sub_u64(c.stale_discards, b.stale_discards);
-        c.silent_corruptions = sub_u64(c.silent_corruptions, b.silent_corruptions);
-
-        if let (Some(a), Some(b)) = (r.admission.as_mut(), self.admission.as_ref()) {
-            a.admitted = sub_u64(a.admitted, b.admitted);
-            a.deferred = sub_u64(a.deferred, b.deferred);
-            a.rejected = sub_u64(a.rejected, b.rejected);
-            a.quarantined = sub_u64(a.quarantined, b.quarantined);
-            a.deadline_missed = sub_u64(a.deadline_missed, b.deadline_missed);
-            a.watchdog_armed = sub_u64(a.watchdog_armed, b.watchdog_armed);
-            a.watchdog_fired = sub_u64(a.watchdog_fired, b.watchdog_fired);
-            a.watchdog_preempt_time = sub_dur(a.watchdog_preempt_time, b.watchdog_preempt_time);
-            a.watchdog_lost_time = sub_dur(a.watchdog_lost_time, b.watchdog_lost_time);
-            a.degraded_dispatches = sub_u64(a.degraded_dispatches, b.degraded_dispatches);
-            a.degraded_time = sub_dur(a.degraded_time, b.degraded_time);
-            a.unschedulable = sub_u64(a.unschedulable, b.unschedulable);
-            a.degrade_enters = sub_u64(a.degrade_enters, b.degrade_enters);
-            a.degrade_exits = sub_u64(a.degrade_exits, b.degrade_exits);
+        r.manager_stats.saturating_sub(&self.manager);
+        r.fault.saturating_sub(&self.fault);
+        r.crash.saturating_sub(&self.crash);
+        if let (Some(a), Some(b)) = (r.admission.as_mut(), &self.admission) {
+            a.saturating_sub(b);
         }
-
-        if let (Some(d), Some(b)) = (r.delta.as_mut(), self.delta.as_ref()) {
-            d.delta_downloads = sub_u64(d.delta_downloads, b.delta_downloads);
-            d.full_downloads = sub_u64(d.full_downloads, b.full_downloads);
-            d.frames_written = sub_u64(d.frames_written, b.frames_written);
-            d.frames_saved = sub_u64(d.frames_saved, b.frames_saved);
-            d.invalidations = sub_u64(d.invalidations, b.invalidations);
+        if let (Some(d), Some(b)) = (r.delta.as_mut(), &self.delta) {
+            d.saturating_sub(b);
         }
     }
 }
@@ -196,6 +96,7 @@ pub struct MigrationEngine {
     injector: MigrationInjector,
     instants: Vec<SimTime>,
     ptr: usize,
+    /// Migration attempts started so far.
     attempts: u32,
     logs: BTreeMap<u32, MigrationLog>,
 }
@@ -214,11 +115,6 @@ impl MigrationEngine {
         }
     }
 
-    /// The plan in force.
-    pub fn plan(&self) -> &MigrationPlan {
-        self.injector.plan()
-    }
-
     /// The next unconsumed migration instant, if any remain.
     pub fn next_instant(&self) -> Option<SimTime> {
         self.instants.get(self.ptr).copied()
@@ -230,17 +126,12 @@ impl MigrationEngine {
         self.ptr += 1;
     }
 
-    /// Start a migration attempt: returns the 0-based attempt index and
-    /// the crash window targeting it, if the plan aims one there.
-    pub fn begin_attempt(&mut self) -> (u32, Option<MigrationCrashWindow>) {
-        let k = self.attempts;
+    /// Start a migration attempt: returns the crash window targeting it,
+    /// if the plan aims one there.
+    pub fn begin_attempt(&mut self) -> Option<MigrationCrashWindow> {
+        let window = self.injector.crash_window_for(self.attempts);
         self.attempts += 1;
-        (k, self.injector.crash_window_for(k))
-    }
-
-    /// Migration attempts started so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempts
+        window
     }
 
     /// Journal a phase record on one device's migration log.
@@ -290,6 +181,7 @@ impl MigrationEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fsim::SimDuration;
 
     fn plan(rate: f64, max: u32) -> MigrationPlan {
         MigrationPlan {
@@ -317,13 +209,10 @@ mod tests {
         let mut p = plan(50.0, 4);
         p.crash = Some((2, MigrationCrashWindow::DestMidCopy));
         let mut e = MigrationEngine::new(p);
-        assert_eq!(e.begin_attempt(), (0, None));
-        assert_eq!(e.begin_attempt(), (1, None));
-        assert_eq!(
-            e.begin_attempt(),
-            (2, Some(MigrationCrashWindow::DestMidCopy))
-        );
-        assert_eq!(e.begin_attempt(), (3, None));
+        assert_eq!(e.begin_attempt(), None);
+        assert_eq!(e.begin_attempt(), None);
+        assert_eq!(e.begin_attempt(), Some(MigrationCrashWindow::DestMidCopy));
+        assert_eq!(e.begin_attempt(), None);
     }
 
     #[test]

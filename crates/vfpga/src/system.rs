@@ -16,8 +16,9 @@ use crate::checkpoint::{
 };
 use crate::circuit::{CircuitId, CircuitLib};
 use crate::error::VfpgaError;
-use crate::manager::{redownload_cost, Activation, FpgaManager, PreemptAction};
+use crate::manager::{redownload_cost, Activation, FpgaManager, PreemptAction, ResidentRegion};
 use crate::metrics::{Report, TaskMetrics};
+use crate::migrate::CounterBaseline;
 use crate::recovery::{FaultStats, RecoveryPolicy, UpsetRecovery};
 use crate::sched::Scheduler;
 use crate::task::{Op, TaskId, TaskRun, TaskSpec, TaskState};
@@ -135,20 +136,27 @@ struct FpgaSeg {
     poll_cost: SimDuration,
 }
 
-/// What [`System::fail_over_from`] found in the carried state: the
-/// quantities the fleet layer accounts and prices a failover by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailoverReceipt {
-    /// Residency claims that died with the source device; each is a
-    /// migration the destination re-downloads at next activation.
-    pub migrated_claims: u32,
-    /// Torn (mid-flight at the crash) journal records dropped.
+/// What [`System::adopt`] found in the carried state: the quantities the
+/// fleet layer accounts and prices a tenant move by.
+#[derive(Debug, Clone)]
+pub struct AdoptReceipt {
+    /// Restored residency claims of kept tenants' circuits. All of them
+    /// died with the source fabric; each is a migration the destination
+    /// re-downloads at next activation, or re-creates by a live
+    /// migration's staged copy.
+    pub claims: Vec<ResidentRegion>,
+    /// Torn (mid-flight at the cut) journal records dropped.
     pub torn_undone: u32,
-    /// Work window lost to the crash: crash time minus the restored
-    /// checkpoint's capture time (the whole run so far on a cold start).
+    /// Work window the destination re-executes: cut time minus the
+    /// restored checkpoint's capture time (the whole run so far on a cold
+    /// start).
     pub redo_window: SimDuration,
     /// Unfinished tasks carried onto the destination.
     pub live_tasks: u32,
+    /// The image's cumulative counters, taken before any staged copy. A
+    /// migration destination subtracts them from its final report so the
+    /// fleet merge counts the source's work once.
+    pub baseline: CounterBaseline,
 }
 
 /// One task's progress through its op list, as a checkpoint holds it
@@ -192,7 +200,7 @@ pub struct SystemImage<MS, S> {
 }
 
 /// The checkpoint state type of a `System<M, S>`.
-type ImageOf<M, S> = SystemImage<<M as FpgaManager>::Snapshot, S>;
+pub(crate) type ImageOf<M, S> = SystemImage<<M as FpgaManager>::Snapshot, S>;
 
 /// Everything that describes one physical device and dies — or must be
 /// rebuilt — with it: the manager owning its fabric, the fault streams
@@ -832,9 +840,10 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     }
 
     /// The host dies at `now`: bundle up everything that survives on
-    /// durable storage (last checkpoint + journal + accounting).
+    /// durable storage (last checkpoint + journal + accounting). A cut is
+    /// not necessarily a host crash (the fleet cuts shards to move them),
+    /// so the caller that declares one counts it in `stats.crashes`.
     fn crash_now(&mut self, now: SimTime) -> CrashState<ImageOf<M, S>> {
-        self.crash.crashes += 1;
         let base = self.last_ckpt.as_ref().map(|i| i.wal_len).unwrap_or(0);
         let at_risk = (self.dev.wal.len() - base) as u32;
         // Only post-checkpoint records can tear: anything older has its
@@ -968,69 +977,118 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
         Ok(())
     }
 
-    /// Adopt a shard that died with its device: restore this freshly
-    /// built system — running on a *different* (or wiped-and-rejoined)
-    /// device — from the crashed shard's durable state. Unlike
+    /// Adopt `tenants` from another incarnation's durable state onto this
+    /// freshly built system, running on a *different* (or
+    /// wiped-and-rejoined) device. Every tenant move goes through here:
+    /// failover, rejoin rebalance, software fallback, the lost path and a
+    /// live migration's destination. Unlike
     /// [`restore_from`](Self::restore_from), which reconciles surviving
-    /// device contents against the journal, here the source fabric is
-    /// gone: torn records are dropped, committed post-checkpoint records
-    /// have nothing left on the destination to redo-verify, and every
-    /// restored residency claim is discarded. Each discarded claim is one
-    /// migration, priced honestly: the source-side half was already paid
-    /// as the checkpoint readback, and the destination pays the download
-    /// at the circuit's next activation. A mid-flight FPGA segment
-    /// restored from the image re-executes its post-checkpoint work on
-    /// the destination, exactly like the journal-on restore path.
-    pub fn fail_over_from(
+    /// device contents against the journal, the source fabric is gone:
+    ///
+    /// * the image is applied whole (same task indexing as the source);
+    /// * torn records are dropped and the journal restarts empty, since
+    ///   its records describe downloads to fabric that no longer exists;
+    /// * every restored residency claim is discarded. Claims of kept
+    ///   tenants' circuits come back in the receipt: each is one
+    ///   migration, priced honestly (the source paid the checkpoint
+    ///   readback, the destination pays the download at next activation);
+    /// * latent upsets and stale marks, properties of the dead fabric, go;
+    /// * every task outside `tenants` is retired as
+    ///   [`TaskState::Migrated`] at the image's capture time, and its
+    ///   admission state is pruned. An image captured before a migration
+    ///   still holds the moved tenant live; this is what stops a restore
+    ///   from reviving it.
+    ///
+    /// A mid-flight FPGA segment restored from the image re-executes its
+    /// post-checkpoint work on the destination, exactly like the
+    /// journal-on restore path.
+    pub fn adopt(
         &mut self,
         state: &CrashState<ImageOf<M, S>>,
-    ) -> Result<FailoverReceipt, VfpgaError> {
-        let _s = span::guard("failover");
+        tenants: &[u32],
+    ) -> Result<AdoptReceipt, VfpgaError> {
         if self.ckpt.is_none() {
             return Err(VfpgaError::CheckpointCorrupt {
-                reason: "fail_over_from requires with_checkpoints".into(),
+                reason: "adopt requires with_checkpoints".into(),
             });
         }
         self.crash = state.stats;
         // Fresh fabric on the destination device: full capture next.
         self.ckpt_dirty_all = true;
-        let crash_at = state.at;
+        let cut_at = state.at;
         let base = state.image.as_ref().map(|i| i.wal_len).unwrap_or(0);
-        let mut redo_window = crash_at - SimTime::ZERO;
+        let mut redo_window = cut_at - SimTime::ZERO;
+        let mut resume_at = SimTime::ZERO;
         if let Some(image) = &state.image {
             self.apply(&image.state)?;
             self.ckpt_seq = image.seq;
-            redo_window = crash_at - image.at;
-            // The journal restarts empty on the destination: its records
-            // describe downloads to fabric that no longer exists.
+            redo_window = cut_at - image.at;
+            resume_at = image.at;
             let mut img = image.clone();
             img.wal_len = 0;
             self.last_ckpt = Some(img);
         }
         let torn = state.wal[base..]
             .iter()
-            .filter(|r| r.in_flight_at(crash_at))
+            .filter(|r| r.in_flight_at(cut_at))
             .count() as u32;
         self.crash.records_undone += u64::from(torn);
         self.dev.wal.clear();
-        // Device RAM died with the source: every restored claim points at
-        // fabric that no longer holds its circuit.
-        let mut migrated = 0u32;
+        let kept_circuits: BTreeSet<u32> = self
+            .tasks
+            .iter()
+            .filter(|t| tenants.contains(&t.spec.tenant))
+            .flat_map(|t| t.spec.circuits_used().into_iter().map(|c| c.0))
+            .collect();
+        let mut claims = Vec::new();
         for claim in self.dev.manager.resident_regions() {
-            if self.dev.manager.discard_resident(claim.cid) {
-                migrated += 1;
+            if self.dev.manager.discard_resident(claim.cid) && kept_circuits.contains(&claim.cid.0)
+            {
+                claims.push(claim);
             }
         }
-        // Latent upsets and stale markers were properties of the dead
-        // fabric; the destination starts clean.
         self.dev.latent.clear();
         self.dev.stale.clear();
-        Ok(FailoverReceipt {
-            migrated_claims: migrated,
+        let retired =
+            self.retire_tasks_where(resume_at, resume_at, |s| !tenants.contains(&s.tenant));
+        if let Some(adm) = self.admission.as_mut() {
+            adm.in_flight.retain(|k, _| tenants.contains(k));
+            adm.deferred.retain(|k, _| tenants.contains(k));
+        }
+        // Retiring may have freed the CPU. With nothing retired the
+        // image's own pending events drive the run, exactly as before the
+        // cut.
+        if retired > 0 {
+            self.queue.schedule_at(resume_at, Ev::Dispatch);
+        }
+        Ok(AdoptReceipt {
+            claims,
             torn_undone: torn,
             redo_window,
             live_tasks: self.unfinished as u32,
+            baseline: CounterBaseline {
+                manager: self.dev.manager.stats(),
+                fault: self.fault,
+                crash: self.crash,
+                admission: self.admission.as_ref().map(|a| a.stats),
+                delta: self.dev.manager.delta_stats(),
+            },
         })
+    }
+
+    /// A live migration's staged copy, after [`adopt`](Self::adopt): each
+    /// of the tenant's `claims` lands here as a ghost the next activation
+    /// revalidates header-only. The staged frames are priced into
+    /// `replay_time`, like journal replay (background, never
+    /// task-charged). Without it the tenant pays a full re-download at
+    /// next activation, exactly like a failover.
+    pub(crate) fn stage_copy(&mut self, claims: &[ResidentRegion]) {
+        let timing = *self.dev.manager.timing();
+        for c in claims {
+            if self.dev.manager.implant_ghost(c.col0, c.width, c.cid) {
+                self.crash.replay_time += redownload_cost(&timing, c.width as usize);
+            }
+        }
     }
 
     /// Non-terminal tasks of `tenant` still inside this system.
@@ -1104,25 +1162,23 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
     /// tenant's admission state (its deferred backlog travels inside the
     /// checkpoint image the destination restores), and — unless the free
     /// is deferred to the journal-replay redo path (`free == false`) —
-    /// release the tenant's now-unreferenced residency claims.
+    /// release the tenant's now-unreferenced residency claims. Returns
+    /// how many claims were freed.
     pub fn extract_tenant(
         &mut self,
         tenant: u32,
         cut_at: SimTime,
         resume_at: SimTime,
         free: bool,
-    ) -> crate::migrate::MigrationManifest {
-        let moved = self.retire_tasks_where(cut_at, resume_at, |s| s.tenant == tenant);
+    ) -> u32 {
+        self.retire_tasks_where(cut_at, resume_at, |s| s.tenant == tenant);
         if let Some(adm) = self.admission.as_mut() {
             adm.in_flight.remove(&tenant);
             adm.deferred.remove(&tenant);
         }
         let freed = if free { self.free_migrated(tenant) } else { 0 };
         self.queue.schedule_at(resume_at, Ev::Dispatch);
-        crate::migrate::MigrationManifest {
-            moved_tasks: moved,
-            freed_claims: freed,
-        }
+        freed
     }
 
     /// Release residency claims only the migrated tenant still needs:
@@ -1154,112 +1210,6 @@ impl<M: FpgaManager, S: Scheduler> System<M, S> {
             }
         }
         freed
-    }
-
-    /// Destination half of a migration split: adopt `tenant` from the
-    /// source shard's cut state. Restores the *whole* shard image (same
-    /// task indexing as the source, so the snapshot applies unchanged),
-    /// then retires every other tenant's tasks as migrated — they keep
-    /// running on the source remainder. The tenant's resident images are
-    /// staged-copied during prepare: with `delta` on, each lands as a
-    /// ghost the next activation revalidates header-only (the staged
-    /// frames are priced into `replay_time`, like journal replay —
-    /// background, never task-charged); with `delta` off the tenant pays
-    /// a full re-download at next activation, exactly like a failover.
-    pub fn migrate_in(
-        &mut self,
-        state: &CrashState<ImageOf<M, S>>,
-        tenant: u32,
-        delta: bool,
-    ) -> Result<crate::migrate::MigrateInReceipt, VfpgaError> {
-        let _s = span::guard("migrate_in");
-        if self.ckpt.is_none() {
-            return Err(VfpgaError::CheckpointCorrupt {
-                reason: "migrate_in requires with_checkpoints".into(),
-            });
-        }
-        self.crash = state.stats;
-        // Fresh fabric on the destination device: full capture next.
-        self.ckpt_dirty_all = true;
-        let cut_at = state.at;
-        let base = state.image.as_ref().map(|i| i.wal_len).unwrap_or(0);
-        let mut redo_window = cut_at - SimTime::ZERO;
-        let mut resume_at = SimTime::ZERO;
-        if let Some(image) = &state.image {
-            self.apply(&image.state)?;
-            self.ckpt_seq = image.seq;
-            redo_window = cut_at - image.at;
-            resume_at = image.at;
-            // The journal restarts empty on the destination: its records
-            // describe downloads to fabric that no longer exists.
-            let mut img = image.clone();
-            img.wal_len = 0;
-            self.last_ckpt = Some(img);
-        }
-        let torn = state.wal[base..]
-            .iter()
-            .filter(|r| r.in_flight_at(cut_at))
-            .count() as u32;
-        self.crash.records_undone += u64::from(torn);
-        self.dev.wal.clear();
-        // Every restored claim points at source fabric; all are
-        // discarded. The tenant's own claims are what the staged copy
-        // re-creates here — remember their geometry for the implant.
-        let tenant_circuits: BTreeSet<u32> = self
-            .tasks
-            .iter()
-            .filter(|t| t.spec.tenant == tenant)
-            .flat_map(|t| t.spec.circuits_used().into_iter().map(|c| c.0))
-            .collect();
-        let mut migrated = 0u32;
-        let mut staged: Vec<(u32, u32, crate::circuit::CircuitId)> = Vec::new();
-        for claim in self.dev.manager.resident_regions() {
-            let own = tenant_circuits.contains(&claim.cid.0);
-            if self.dev.manager.discard_resident(claim.cid) && own {
-                migrated += 1;
-                staged.push((claim.col0, claim.width, claim.cid));
-            }
-        }
-        self.dev.latent.clear();
-        self.dev.stale.clear();
-        // Everyone but the migrating tenant continues on the source.
-        self.retire_tasks_where(resume_at, resume_at, |s| s.tenant != tenant);
-        if let Some(adm) = self.admission.as_mut() {
-            adm.in_flight.retain(|k, _| *k == tenant);
-            adm.deferred.retain(|k, _| *k == tenant);
-        }
-        self.queue.schedule_at(resume_at, Ev::Dispatch);
-        // Counters restored from the image are the source's cumulative
-        // totals; the fleet subtracts this baseline from the final report
-        // so migrated work is counted exactly once. Captured before the
-        // staged copy below, so its cost shows in the increment.
-        let baseline = crate::migrate::CounterBaseline {
-            manager: self.dev.manager.stats(),
-            fault: self.fault,
-            crash: self.crash,
-            admission: self.admission.as_ref().map(|a| a.stats),
-            delta: self.dev.manager.delta_stats(),
-        };
-        let mut ghosts = 0u32;
-        if delta {
-            let timing = *self.dev.manager.timing();
-            let mut copy_cost = SimDuration::ZERO;
-            for (col0, width, cid) in staged {
-                if self.dev.manager.implant_ghost(col0, width, cid) {
-                    ghosts += 1;
-                    copy_cost += crate::manager::redownload_cost(&timing, width as usize);
-                }
-            }
-            self.crash.replay_time += copy_cost;
-        }
-        Ok(crate::migrate::MigrateInReceipt {
-            adopted_tasks: self.unfinished as u32,
-            migrated_claims: migrated,
-            ghosts_implanted: ghosts,
-            torn_undone: torn,
-            redo_window,
-            baseline,
-        })
     }
 
     /// Capture the full mutable system state. Specs, task names and

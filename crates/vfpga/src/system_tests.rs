@@ -393,7 +393,7 @@ fn untraced_run_records_nothing() {
     assert_eq!(r.tasks.len(), 1);
 }
 
-/// Property-style accounting check for `fail_over_from`: across seeds and
+/// Property-style accounting check for `adopt`: across seeds and
 /// cut instants, the receipt's fields exactly partition the crashed
 /// shard's journal. Every WAL record is either (a) covered by the
 /// restored image (`index < image.wal_len`), (b) post-checkpoint and
@@ -464,7 +464,7 @@ fn failover_receipt_partitions_the_source_journal() {
             };
 
             let mut dst = build(&specs);
-            let receipt = dst.fail_over_from(&state).unwrap();
+            let receipt = dst.adopt(&state, &[0, 1]).unwrap();
             assert_eq!(
                 receipt.torn_undone, torn,
                 "seed {seed} cut {cut_ms}ms: torn count must equal the \
@@ -482,7 +482,7 @@ fn failover_receipt_partitions_the_source_journal() {
                  the per-tenant live count on the destination"
             );
             assert!(
-                receipt.migrated_claims as usize <= ids.len(),
+                receipt.claims.len() <= ids.len(),
                 "dynload holds at most one claim per circuit"
             );
 

@@ -363,7 +363,7 @@ fn admission_state_survives_crash_and_restore() {
             max_crashes: 3,
         };
         let cfg = CheckpointConfig::new(SimDuration::from_micros(2_500));
-        let r = run_with_crashes(|| build(9, true, Some(policy())), cfg, plan).unwrap();
+        let (r, _) = run_with_crashes(|| build(9, true, Some(policy())), cfg, plan).unwrap();
         crashed_somewhere |= r.crash.crashes > 0;
         let d = diff_reports(&baseline, &r);
         assert!(
@@ -590,7 +590,7 @@ fn deadline_era_state_survives_crash_and_restore() {
             max_crashes: 3,
         };
         let cfg = CheckpointConfig::new(SimDuration::from_micros(2_500));
-        let r = run_with_crashes(build_sys, cfg, plan).unwrap();
+        let (r, _) = run_with_crashes(build_sys, cfg, plan).unwrap();
         crashed_somewhere |= r.crash.crashes > 0;
         let d = diff_reports(&baseline, &r);
         assert!(

@@ -184,7 +184,7 @@ fn assert_restores_match<M: FpgaManager, S: Scheduler>(name: &str, build: fn() -
             max_crashes: 4,
         };
         let cfg = CheckpointConfig::new(SimDuration::from_micros(2_500));
-        let r = run_with_crashes(build, cfg, plan).unwrap();
+        let (r, _) = run_with_crashes(build, cfg, plan).unwrap();
         crashed_somewhere |= r.crash.crashes > 0;
         let d = diff_reports(&baseline, &r);
         assert!(
@@ -291,8 +291,8 @@ fn crash_restore_is_bit_reproducible() {
         max_crashes: 3,
     };
     let cfg = CheckpointConfig::new(SimDuration::from_micros(600));
-    let a = run_with_crashes(build_dynload, cfg, plan).unwrap();
-    let b = run_with_crashes(build_dynload, cfg, plan).unwrap();
+    let (a, _) = run_with_crashes(build_dynload, cfg, plan).unwrap();
+    let (b, _) = run_with_crashes(build_dynload, cfg, plan).unwrap();
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
@@ -311,7 +311,7 @@ fn journal_off_restores_corrupt_silently() {
             max_crashes: 4,
         };
         let cfg = CheckpointConfig::new(SimDuration::from_micros(2_500)).without_journal();
-        let r = run_with_crashes(build_dynload, cfg, plan).unwrap();
+        let (r, _) = run_with_crashes(build_dynload, cfg, plan).unwrap();
         let d = diff_reports(&baseline, &r);
         if r.crash.silent_corruptions > 0 {
             corrupted_somewhere = true;
@@ -361,7 +361,7 @@ fn overhead_breakdown_tiles_total_overhead_under_crashes() {
             max_crashes: 1 + (next() % 3) as u32,
         };
         let cfg = CheckpointConfig::new(SimDuration::from_micros(400 + next() % 2000));
-        let r = run_with_crashes(
+        let (r, _) = run_with_crashes(
             || build_partition().with_faults(fault_plan, policy),
             cfg,
             crash_plan,
@@ -406,7 +406,7 @@ fn delta_checkpoints_cut_readback_without_changing_outcomes() {
             crash_rate_per_s: 60.0,
             max_crashes: 3,
         };
-        let r = run_with_crashes(build_dynload, cfg_delta, plan).unwrap();
+        let (r, _) = run_with_crashes(build_dynload, cfg_delta, plan).unwrap();
         crashed |= r.crash.crashes > 0;
         let d = diff_reports(&baseline, &r);
         assert!(
